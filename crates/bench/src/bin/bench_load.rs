@@ -19,6 +19,7 @@
 //!            [--addr HOST:PORT] [--json PATH]
 //! ```
 
+use scenic_bench::{bench_args, flag_value};
 use scenic_serve::proto::SampleRequest;
 use scenic_serve::{Client, Server};
 use std::path::PathBuf;
@@ -44,7 +45,19 @@ struct Args {
     json: Option<String>,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "\
+usage: bench_load [--clients C] [--requests R] [-n N] [--seed S] [--jobs J]
+                  [--addr HOST:PORT] [--json PATH]
+  --clients C        concurrent client threads (default 4)
+  --requests R       sample requests per client (default 8)
+  -n N               scenes per request (default 5)
+  --seed S           root seed (default 0)
+  --jobs J           daemon-side workers per request (default 2)
+  --addr HOST:PORT   load an external daemon instead of an in-process one
+  --json PATH        also write the scenic-bench-load/v1 artifact
+";
+
+fn parse_args(it: &mut dyn Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         clients: 4,
         requests: 8,
@@ -54,23 +67,20 @@ fn parse_args() -> Args {
         addr: None,
         json: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match arg.as_str() {
-            "--clients" => args.clients = value("--clients").parse().expect("--clients: integer"),
-            "--requests" => {
-                args.requests = value("--requests").parse().expect("--requests: integer");
-            }
-            "-n" => args.n = value("-n").parse().expect("-n: positive integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--jobs" => args.jobs = value("--jobs").parse().expect("--jobs: positive integer"),
-            "--addr" => args.addr = Some(value("--addr")),
-            "--json" => args.json = Some(value("--json")),
-            other => panic!("unknown argument `{other}`"),
+            "-h" | "--help" => return Ok(None),
+            "--clients" => args.clients = flag_value(it, "--clients")?,
+            "--requests" => args.requests = flag_value(it, "--requests")?,
+            "-n" => args.n = flag_value(it, "-n")?,
+            "--seed" => args.seed = flag_value(it, "--seed")?,
+            "--jobs" => args.jobs = flag_value(it, "--jobs")?,
+            "--addr" => args.addr = Some(flag_value(it, "--addr")?),
+            "--json" => args.json = Some(flag_value(it, "--json")?),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn scenario_path(name: &str) -> PathBuf {
@@ -134,7 +144,7 @@ fn run_client(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args = parse_args();
+    let args = bench_args(USAGE, parse_args);
     let sources: Vec<(String, String, String)> = SCENARIOS
         .iter()
         .map(|&(name, world)| {

@@ -15,6 +15,7 @@
 //! times the reference interpreter and the compiled draw path
 //! back-to-back on each scenario, so one artifact captures the speedup.
 
+use scenic_bench::{bench_args, flag_value};
 use scenic_core::compile::Engine;
 use scenic_core::sampler::{Sampler, SamplerConfig};
 use scenic_core::{compile_with_world, World};
@@ -48,7 +49,17 @@ const SCENARIOS: &[(&str, &str)] = &[
     ("two_cars", "gta"),
 ];
 
-fn parse_args() -> Args {
+const USAGE: &str = "\
+usage: bench_sampling [-n N] [--seed S] [--jobs J] [--engine ast|compiled|both]
+                      [--json PATH]
+  -n N          scenes per scenario (default 50)
+  --seed S      root seed (default 0)
+  --jobs J      worker threads (default: all cores)
+  --engine E    engine(s) to time (default both)
+  --json PATH   also write the scenic-bench-sampling/v2 artifact
+";
+
+fn parse_args(it: &mut dyn Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         n: 50,
         seed: 0,
@@ -58,25 +69,24 @@ fn parse_args() -> Args {
         engines: vec![Engine::Ast, Engine::Compiled],
         json: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match arg.as_str() {
-            "-n" => args.n = value("-n").parse().expect("-n: positive integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--jobs" => args.jobs = value("--jobs").parse().expect("--jobs: positive integer"),
+            "-h" | "--help" => return Ok(None),
+            "-n" => args.n = flag_value(it, "-n")?,
+            "--seed" => args.seed = flag_value(it, "--seed")?,
+            "--jobs" => args.jobs = flag_value(it, "--jobs")?,
             "--engine" => {
-                let raw = value("--engine");
+                let raw: String = flag_value(it, "--engine")?;
                 args.engines = match raw.as_str() {
                     "both" => vec![Engine::Ast, Engine::Compiled],
-                    other => vec![other.parse().unwrap_or_else(|e: String| panic!("{e}"))],
+                    other => vec![other.parse().map_err(|e| format!("--engine: {e}"))?],
                 };
             }
-            "--json" => args.json = Some(value("--json")),
-            other => panic!("unknown argument `{other}`"),
+            "--json" => args.json = Some(flag_value(it, "--json")?),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn scenario_path(name: &str) -> PathBuf {
@@ -120,7 +130,7 @@ fn to_json(runs: &[Run], args: &Args) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench_args(USAGE, parse_args);
     let mut runs = Vec::new();
     println!(
         "sampling throughput: n={}, seed={}, jobs={}",

@@ -15,6 +15,7 @@
 //! convention, u64 seeds appear in JSON as decimal strings.
 
 use crate::experiments::Counters;
+use scenic_core::json_escape;
 use std::fmt::Write as _;
 
 /// Where a table row's numbers come from.
@@ -212,24 +213,6 @@ impl ExperimentReport {
         }
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_str_list(items: &[String]) -> String {

@@ -16,6 +16,7 @@
 //! - `I2xx` — informational notes from the §5.2 pruning derivation.
 
 use crate::error::ScenicError;
+use crate::json_escape;
 use scenic_lang::{ParseError, Pos, Span};
 use std::fmt;
 
@@ -325,21 +326,6 @@ pub fn render_line(d: &Diagnostic) -> String {
         s.push_str(&format!(" (at {}:{})", span.start.line, span.start.col));
     }
     s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders diagnostics as a JSON array (one object per diagnostic,

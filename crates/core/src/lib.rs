@@ -69,10 +69,38 @@ pub use store::{ArtifactStore, LedgerKey, LedgerOutcome, StoreError, STORE_FORMA
 pub use value::Value;
 pub use world::{Module, NativeValue, World};
 
+/// Escapes `s` for use inside a JSON string literal: `"`, `\\`, `\n`,
+/// `\r` and `\t` get their short escapes, other control characters
+/// `\u00XX`. Every hand-written JSON output of the workspace (lint
+/// diagnostics, the store ledger, the `scenic exp` artifact) escapes
+/// through this one function, so their bytes agree.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampler::Sampler;
+
+    #[test]
+    fn json_escape_uses_short_forms_and_unicode_for_the_rest() {
+        assert_eq!(json_escape("\"\\\n\r\t\x01"), "\\\"\\\\\\n\\r\\t\\u0001");
+        assert_eq!(json_escape("plain é"), "plain é");
+    }
 
     fn sample(source: &str, seed: u64) -> Scene {
         let scenario = compile(source).expect("compiles");

@@ -1,21 +1,20 @@
 //! A persistent worker pool amortizing per-batch thread spawn.
 //!
-//! [`Sampler::sample_batch`](crate::sampler::Sampler::sample_batch)
-//! originally fanned every call across a fresh [`std::thread::scope`]
-//! pool: correct and dependency-free, but each call paid `jobs` thread
-//! spawns plus joins — visible overhead at `jobs = 8` on small batches,
-//! where spawning costs more than the sampling itself. [`WorkerPool`]
-//! keeps the threads alive instead: workers are spawned once (with
+//! Every [`Sampler`](crate::sampler::Sampler) batch runs on a
+//! [`WorkerPool`]: workers are spawned once (with
 //! [`std::thread::Builder`], growing on demand), pull boxed tasks from a
 //! shared [`std::sync::mpsc`] channel, and are reused by every
-//! subsequent batch. No external crates (no crossbeam), no `unsafe`.
+//! subsequent batch, so a call pays no thread spawns or joins. Task 0
+//! of each call runs inline on the calling thread, so a one-task call
+//! never touches the queue. No external crates (no crossbeam), no
+//! `unsafe`.
 //!
 //! Because batch output is derived *by scene index* (see
 //! [`derive_scene_seed`](crate::sampler::derive_scene_seed)), which
 //! threads run which task can never change the result — the pool is a
 //! pure latency/throughput knob, exactly like the worker count itself.
 //!
-//! The process-wide pool used by `sample_batch` is [`WorkerPool::global`];
+//! The process-wide pool used by the sampler is [`WorkerPool::global`];
 //! independent pools can be built for isolation (e.g. tests asserting
 //! reuse) and join their workers on drop.
 //!
@@ -26,15 +25,15 @@
 //!
 //! let pool = WorkerPool::new(2);
 //! // Fan a computation out as 4 tasks; results come back in task order.
-//! let squares = pool.execute(4, |task| task * task);
-//! assert_eq!(squares, vec![0, 1, 4, 9]);
+//! let squares = pool.try_execute(4, |task| task * task);
+//! assert_eq!(squares, Ok(vec![0, 1, 4, 9]));
 //! // The same threads serve the next call — nothing is respawned.
-//! let doubled = pool.execute(3, |task| task * 2);
-//! assert_eq!(doubled, vec![0, 2, 4]);
+//! let doubled = pool.try_execute(3, |task| task * 2);
+//! assert_eq!(doubled, Ok(vec![0, 2, 4]));
 //! assert!(pool.workers() <= 3);
 //! ```
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -47,9 +46,8 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Workers are spawned lazily: the pool starts with the requested
 /// thread count and [grows](WorkerPool::ensure_workers) whenever a call
 /// asks for more concurrency than it currently has, up to the largest
-/// `tasks` value ever requested — mirroring what the scoped
-/// implementation would have spawned for that call, but paying the
-/// spawn only once per process instead of once per batch.
+/// `tasks` value ever requested, paying each spawn once per pool
+/// instead of once per batch.
 ///
 /// Dropping a non-global pool closes the queue and joins every worker;
 /// the [`WorkerPool::global`] instance lives for the whole process.
@@ -126,8 +124,8 @@ impl WorkerPool {
                     match task {
                         // A panicking task must not take the worker
                         // down with it: the pool would silently lose
-                        // capacity. `execute` reports the panic to the
-                        // submitting thread via its result channel.
+                        // capacity. `try_execute` reports the panic to
+                        // the submitting thread via its result channel.
                         Ok(task) => drop(catch_unwind(AssertUnwindSafe(task))),
                         Err(_) => break, // queue closed: pool dropped
                     }
@@ -137,13 +135,10 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueues one fire-and-forget task.
-    ///
-    /// The task runs on some pool worker at queue order; a panic inside
-    /// it is caught (the worker survives) and otherwise ignored — use
-    /// [`WorkerPool::execute`] when the caller needs results or panic
-    /// propagation.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
+    /// Enqueues one fire-and-forget task. The task runs on some pool
+    /// worker at queue order; a panic inside it is caught (the worker
+    /// survives) and otherwise ignored.
+    fn submit(&self, task: impl FnOnce() + Send + 'static) {
         self.injector
             .as_ref()
             .expect("pool queue closed")
@@ -159,31 +154,11 @@ impl WorkerPool {
     /// `1..tasks` are enqueued; the pool is grown so they can all run
     /// concurrently. Blocks until every task finishes.
     ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of any panicking task (after all tasks have
-    /// finished, so the pool is left quiescent). Long-running callers
-    /// that must survive worker panics use [`WorkerPool::try_execute`].
-    pub fn execute<T, F>(&self, tasks: usize, worker: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
-        self.run(tasks, worker)
-            .into_iter()
-            .map(|result| match result {
-                Ok(value) => value,
-                Err(panic) => resume_unwind(panic),
-            })
-            .collect()
-    }
-
-    /// Like [`WorkerPool::execute`], but a panicking task yields an
-    /// `Err` with the panic message instead of re-raising the panic on
-    /// the calling thread. All tasks still run to completion first, so
-    /// the pool is quiescent either way — this is the entry point for
-    /// callers (the sampler, and through it the `scenicd` daemon) that
-    /// must report a structured error and keep serving.
+    /// A panicking task, inline or pooled, yields an `Err` with the
+    /// panic message instead of unwinding through the caller. All tasks
+    /// still run to completion first, so the pool is quiescent either
+    /// way — callers (the sampler, and through it the `scenicd` daemon)
+    /// report a structured error and keep serving.
     ///
     /// # Errors
     ///
@@ -195,26 +170,8 @@ impl WorkerPool {
         T: Send + 'static,
         F: Fn(usize) -> T + Send + Sync + 'static,
     {
-        let mut out = Vec::with_capacity(tasks);
-        for result in self.run(tasks, worker) {
-            match result {
-                Ok(value) => out.push(value),
-                Err(panic) => return Err(panic_message(&*panic)),
-            }
-        }
-        Ok(out)
-    }
-
-    /// The shared fan-out core of [`WorkerPool::execute`] and
-    /// [`WorkerPool::try_execute`]: every task's outcome (value or
-    /// caught panic payload) in task-index order.
-    fn run<T, F>(&self, tasks: usize, worker: F) -> Vec<std::thread::Result<T>>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
         if tasks == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         self.ensure_workers(tasks - 1);
         let worker = Arc::new(worker);
@@ -240,7 +197,10 @@ impl WorkerPool {
         }
         slots
             .into_iter()
-            .map(|slot| slot.expect("every task reported"))
+            .map(|slot| match slot.expect("every task reported") {
+                Ok(value) => Ok(value),
+                Err(panic) => Err(panic_message(&*panic)),
+            })
             .collect()
     }
 }
@@ -248,7 +208,7 @@ impl WorkerPool {
 /// Extracts a human-readable message from a caught panic payload
 /// (`panic!("...")` and `assert!` produce `&str` or `String` payloads;
 /// anything else is opaque).
-pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -278,16 +238,16 @@ mod tests {
     #[test]
     fn execute_returns_results_in_task_order() {
         let pool = WorkerPool::new(3);
-        let out = pool.execute(8, |task| task + 100);
-        assert_eq!(out, (100..108).collect::<Vec<_>>());
+        let out = pool.try_execute(8, |task| task + 100);
+        assert_eq!(out, Ok((100..108).collect::<Vec<_>>()));
     }
 
     #[test]
     fn pool_reuses_threads_across_calls() {
         let pool = WorkerPool::new(2);
-        pool.execute(4, |_| ());
+        pool.try_execute(4, |_| ()).unwrap();
         let after_first = pool.workers();
-        pool.execute(4, |_| ());
+        pool.try_execute(4, |_| ()).unwrap();
         assert_eq!(pool.workers(), after_first, "second call respawned");
         assert!(after_first <= 3, "grew past requested concurrency");
     }
@@ -296,9 +256,9 @@ mod tests {
     fn grows_on_demand_never_shrinks() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.workers(), 1);
-        pool.execute(5, |_| ());
-        assert_eq!(pool.workers(), 4, "execute(5) needs 4 pool tasks");
-        pool.execute(2, |_| ());
+        pool.try_execute(5, |_| ()).unwrap();
+        assert_eq!(pool.workers(), 4, "5 tasks need 4 pool workers");
+        pool.try_execute(2, |_| ()).unwrap();
         assert_eq!(pool.workers(), 4, "pools never shrink");
     }
 
@@ -319,21 +279,25 @@ mod tests {
     #[test]
     fn execute_zero_tasks_is_empty() {
         let pool = WorkerPool::new(1);
-        assert!(pool.execute(0, |task| task).is_empty());
+        assert_eq!(pool.try_execute(0, |task| task), Ok(Vec::new()));
     }
 
     #[test]
     fn task_panic_propagates_and_pool_survives() {
+        // Task 0 runs inline on the caller: its panic must come back as
+        // an Err too, for one task or many, never unwind the caller.
         let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.execute(4, |task| {
-                assert!(task != 2, "boom");
-                task
-            })
-        }));
-        assert!(result.is_err(), "panic did not propagate");
+        for tasks in [1, 4] {
+            let message = pool
+                .try_execute(tasks, |task| {
+                    assert!(task != 0, "inline task exploded");
+                    task
+                })
+                .expect_err("inline panic should surface as Err");
+            assert!(message.contains("inline task exploded"), "{message}");
+        }
         // The pool still works afterwards.
-        assert_eq!(pool.execute(3, |task| task), vec![0, 1, 2]);
+        assert_eq!(pool.try_execute(3, |task| task), Ok(vec![0, 1, 2]));
     }
 
     #[test]

@@ -14,19 +14,18 @@
 //! **bit-reproducible**: the RNG stream of scene `i` is derived
 //! *by index* from the sampler's root seed via a SplitMix64 stream split
 //! ([`derive_scene_seed`]), so the output is byte-identical for any
-//! worker count *and* any thread-pool strategy. The design needs no
-//! extra dependencies and no `unsafe`: a compiled [`Scenario`] is
-//! `Send + Sync`, each worker builds its own thread-local interpreter
-//! state per run.
+//! worker count. The design needs no extra dependencies and no
+//! `unsafe`: a compiled [`Scenario`] is `Send + Sync`, each worker
+//! builds its own thread-local interpreter state per run.
 //!
-//! Two dispatch strategies share one worker loop:
-//!
-//! - [`Sampler::sample_batch`] runs on the persistent process-wide
-//!   [`WorkerPool`] (threads spawned once, reused by every call);
-//! - [`Sampler::sample_batch_scoped`] spawns a fresh
-//!   [`std::thread::scope`] pool per call (zero persistent state; kept
-//!   as the baseline the pool is benchmarked against, see
-//!   `benches/pool.rs`).
+//! Every batch — [`Sampler::sample_batch`],
+//! [`Sampler::sample_batch_report`] and
+//! [`Sampler::sample_batch_report_range`] — takes one dispatch path:
+//! `jobs` copies of one worker loop on the persistent process-wide
+//! [`WorkerPool`] (threads spawned once, reused by every call), the
+//! first of them inline on the calling thread. So `jobs = 1` never
+//! leaves the caller, and a panic while drawing is reported as
+//! [`ScenicError::WorkerPanic`] whatever the worker count.
 
 use crate::compile::Engine;
 use crate::error::{Pruner, Rejection, RunResult, ScenicError};
@@ -197,8 +196,8 @@ type IndexedOutcomes = Vec<(usize, (RunResult<Scene>, SamplerStats))>;
 
 /// Everything a batch worker needs, shared across threads. Owning a
 /// [`Scenario`] clone (cheap: compiled programs and world geometry are
-/// `Arc`-shared) keeps the state `'static`, so the same struct drives
-/// both scoped threads and the persistent [`WorkerPool`].
+/// `Arc`-shared) keeps the state `'static`, as the persistent
+/// [`WorkerPool`] requires.
 struct BatchShared {
     scenario: Scenario,
     config: SamplerConfig,
@@ -220,10 +219,10 @@ struct BatchShared {
     first_error: AtomicUsize,
 }
 
-/// The worker loop shared by every dispatch strategy: pull the next
-/// scene index, derive its seed, run a thread-local interpreter; after
-/// any failure, indices above the lowest failing one are abandoned
-/// (their results could never be reported).
+/// The batch worker loop: pull the next scene index, derive its seed,
+/// run a thread-local interpreter; after any failure, indices above the
+/// lowest failing one are abandoned (their results could never be
+/// reported).
 fn drain_batch(shared: &BatchShared) -> IndexedOutcomes {
     let mut local = Vec::new();
     loop {
@@ -237,7 +236,7 @@ fn drain_batch(shared: &BatchShared) -> IndexedOutcomes {
         let outcome = sample_scene(
             &shared.scenario,
             shared.config,
-            seed,
+            &mut StdRng::seed_from_u64(seed),
             shared.prune.as_deref(),
             shared.engine,
         );
@@ -272,19 +271,18 @@ impl BatchReport {
 }
 
 /// One complete rejection-sampling attempt for a single scene: the
-/// worker-side core of both [`Sampler::sample_seeded`] and
-/// [`Sampler::sample_batch`]. Free of `&mut Sampler` state — all it
-/// needs is the shared scenario, the config, and the scene's own seed —
-/// so any thread can run it.
+/// retry loop behind [`Sampler::sample`], [`Sampler::sample_seeded`]
+/// and [`Sampler::sample_batch`]. Free of `&mut Sampler` state — all it
+/// needs is the shared scenario, the config, and the stream that seeds
+/// each candidate — so any thread can run it.
 fn sample_scene(
     scenario: &Scenario,
     config: SamplerConfig,
-    seed: u64,
+    seed_rng: &mut StdRng,
     prune: Option<&PrunePlan>,
     engine: Engine,
 ) -> (RunResult<Scene>, SamplerStats) {
     let mut stats = SamplerStats::default();
-    let mut seed_rng = StdRng::seed_from_u64(seed);
     for _ in 0..config.max_iterations {
         stats.iterations += 1;
         // One seed draw per candidate, whatever happens inside the run:
@@ -344,7 +342,7 @@ pub struct Sampler<'s> {
     /// Root of the per-index seed-derivation scheme (and the seed of
     /// `rng` at construction time).
     root_seed: u64,
-    /// Stateful stream for the legacy sequential `sample` path.
+    /// Stateful stream for the sequential `sample` path.
     rng: StdRng,
     stats: SamplerStats,
     /// Active §5.2 prune guards (`None` = unpruned sampling).
@@ -456,34 +454,23 @@ impl<'s> Sampler<'s> {
         self.stats = SamplerStats::default();
     }
 
-    /// Generates one scene, retrying rejected runs up to the configured
-    /// budget.
+    /// Generates one scene from the sampler's sequential RNG stream,
+    /// retrying rejected runs up to the configured budget.
     ///
     /// # Errors
     ///
     /// [`ScenicError::MaxIterationsExceeded`] when the budget runs out;
     /// program errors are passed through immediately.
     pub fn sample(&mut self) -> RunResult<Scene> {
-        for _ in 0..self.config.max_iterations {
-            self.stats.iterations += 1;
-            let mut run_rng = StdRng::seed_from_u64(self.rng.gen());
-            match self
-                .scenario
-                .generate_with(&mut run_rng, self.prune.as_deref(), self.engine)
-            {
-                Ok(scene) => {
-                    self.stats.scenes += 1;
-                    return Ok(scene);
-                }
-                Err(ScenicError::Rejected(r)) => {
-                    self.stats.record(&r);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(ScenicError::MaxIterationsExceeded {
-            limit: self.config.max_iterations,
-        })
+        let (result, stats) = sample_scene(
+            self.scenario,
+            self.config,
+            &mut self.rng,
+            self.prune.as_deref(),
+            self.engine,
+        );
+        self.stats.merge(&stats);
+        result
     }
 
     /// Generates one scene from a deterministic seed (independent of the
@@ -496,21 +483,12 @@ impl<'s> Sampler<'s> {
         let (result, stats) = sample_scene(
             self.scenario,
             self.config,
-            seed,
+            &mut StdRng::seed_from_u64(seed),
             self.prune.as_deref(),
             self.engine,
         );
         self.stats.merge(&stats);
         result
-    }
-
-    /// Generates `n` scenes from the sampler's sequential RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first hard error or exhausted budget.
-    pub fn sample_many(&mut self, n: usize) -> RunResult<Vec<Scene>> {
-        (0..n).map(|_| self.sample()).collect()
     }
 
     /// Generates `n` scenes across `jobs` worker threads,
@@ -521,18 +499,19 @@ impl<'s> Sampler<'s> {
     ///
     /// Runs on the persistent process-wide [`WorkerPool`], so repeated
     /// batches reuse the same threads instead of paying `jobs` spawns
-    /// per call (use [`Sampler::sample_batch_scoped`] for the zero-state
-    /// scoped-spawn strategy, or [`Sampler::sample_batch_report_with`]
-    /// for a private pool). `jobs` is clamped to `1..=n` — a batch never
-    /// engages more workers than it has scenes, and single-scene batches
-    /// run inline; pass `std::thread::available_parallelism()` for a
-    /// sensible default.
+    /// per call. `jobs` is clamped to `1..=n` — a batch never engages
+    /// more workers than it has scenes, and one worker always runs on
+    /// the calling thread, so `jobs = 1` never leaves it; pass
+    /// `std::thread::available_parallelism()` for a sensible default.
     ///
     /// # Errors
     ///
     /// The error of the lowest-index failing scene (budget exhaustion or
     /// program error); work past that index is cancelled and excluded
-    /// from the statistics, again independent of `jobs`.
+    /// from the statistics, again independent of `jobs`. A panic while
+    /// drawing (an interpreter or native-function bug) surfaces as
+    /// [`ScenicError::WorkerPanic`] for every `jobs`, so a long-running
+    /// service such as `scenicd` keeps serving.
     pub fn sample_batch(&mut self, n: usize, jobs: usize) -> RunResult<Vec<Scene>> {
         self.sample_batch_report(n, jobs).map(|r| r.scenes)
     }
@@ -544,7 +523,7 @@ impl<'s> Sampler<'s> {
     ///
     /// Same as [`Sampler::sample_batch`].
     pub fn sample_batch_report(&mut self, n: usize, jobs: usize) -> RunResult<BatchReport> {
-        self.sample_batch_report_with(WorkerPool::global(), n, jobs)
+        self.sample_batch_report_range(0, n, jobs)
     }
 
     /// Samples the scenes a full batch would put at indices
@@ -554,6 +533,10 @@ impl<'s> Sampler<'s> {
     /// driver (the `scenicd` daemon) delivers a large batch
     /// incrementally — chunked ranged calls reproduce exactly the
     /// scenes of one big call, in any chunking, for any `jobs`.
+    ///
+    /// Every batch entry point ends here: `jobs` copies of the batch
+    /// worker loop on [`WorkerPool::global`], one of them inline on
+    /// this thread.
     ///
     /// # Errors
     ///
@@ -565,72 +548,33 @@ impl<'s> Sampler<'s> {
         jobs: usize,
     ) -> RunResult<BatchReport> {
         let jobs = jobs.clamp(1, count.max(1));
-        let slots = if jobs == 1 {
-            self.batch_serial(start, count)
-        } else {
-            self.batch_pooled(WorkerPool::global(), start, count, jobs)?
-        };
+        let shared = Arc::new(BatchShared {
+            scenario: self.scenario.clone(),
+            config: self.config,
+            engine: self.engine,
+            prune: self.prune.clone(),
+            root_seed: self.root_seed,
+            start,
+            n: count,
+            next_index: AtomicUsize::new(0),
+            first_error: AtomicUsize::new(usize::MAX),
+        });
+        let results = WorkerPool::global()
+            .try_execute(jobs, move |_| drain_batch(&shared))
+            .map_err(|message| ScenicError::WorkerPanic { message })?;
+        let mut slots: Vec<BatchSlot> = Vec::new();
+        slots.resize_with(count, || None);
+        for (index, outcome) in results.into_iter().flatten() {
+            slots[index] = Some(outcome);
+        }
         self.reduce(count, slots)
-    }
-
-    /// Like [`Sampler::sample_batch_report`], but on a caller-supplied
-    /// [`WorkerPool`] instead of the shared global one (isolation for
-    /// tests, or dedicated pools per subsystem). The pool grows to
-    /// `jobs - 1` workers if needed; one worker always runs inline on
-    /// the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sampler::sample_batch`].
-    pub fn sample_batch_report_with(
-        &mut self,
-        pool: &WorkerPool,
-        n: usize,
-        jobs: usize,
-    ) -> RunResult<BatchReport> {
-        let jobs = jobs.clamp(1, n.max(1));
-        let slots = if jobs == 1 {
-            self.batch_serial(0, n)
-        } else {
-            self.batch_pooled(pool, 0, n, jobs)?
-        };
-        self.reduce(n, slots)
-    }
-
-    /// [`Sampler::sample_batch`] on a fresh [`std::thread::scope`] pool
-    /// spawned for this call only — the pre-`WorkerPool` strategy, kept
-    /// as the baseline `benches/pool.rs` measures the persistent pool
-    /// against. Output is byte-identical to the pooled path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sampler::sample_batch`].
-    pub fn sample_batch_scoped(&mut self, n: usize, jobs: usize) -> RunResult<Vec<Scene>> {
-        self.sample_batch_report_scoped(n, jobs).map(|r| r.scenes)
-    }
-
-    /// Like [`Sampler::sample_batch_scoped`], but also returns per-scene
-    /// rejection statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sampler::sample_batch`].
-    pub fn sample_batch_report_scoped(&mut self, n: usize, jobs: usize) -> RunResult<BatchReport> {
-        let jobs = jobs.clamp(1, n.max(1));
-        let slots = if jobs == 1 {
-            self.batch_serial(0, n)
-        } else {
-            self.batch_scoped(n, jobs)?
-        };
-        self.reduce(n, slots)
     }
 
     /// Deterministic reduction in scene-index order: merge statistics
     /// and collect scenes up to (and including) the first failure.
     /// Slots past a failure may or may not have been computed
     /// depending on worker timing; ignoring them keeps scenes, error,
-    /// and statistics all invariant in `jobs` and in the dispatch
-    /// strategy.
+    /// and statistics all invariant in `jobs`.
     fn reduce(&mut self, n: usize, slots: Vec<BatchSlot>) -> RunResult<BatchReport> {
         let mut report = BatchReport {
             scenes: Vec::with_capacity(n),
@@ -651,100 +595,6 @@ impl<'s> Sampler<'s> {
             }
         }
         Ok(report)
-    }
-
-    /// The shared worker state for one batch over scenes
-    /// `start..start + n`.
-    fn batch_shared(&self, start: usize, n: usize) -> BatchShared {
-        BatchShared {
-            scenario: self.scenario.clone(),
-            config: self.config,
-            engine: self.engine,
-            prune: self.prune.clone(),
-            root_seed: self.root_seed,
-            start,
-            n,
-            next_index: AtomicUsize::new(0),
-            first_error: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// Scatters worker results back into index-addressed slots.
-    fn fill_slots(n: usize, results: Vec<IndexedOutcomes>) -> Vec<BatchSlot> {
-        let mut slots: Vec<BatchSlot> = Vec::new();
-        slots.resize_with(n, || None);
-        for local in results {
-            for (index, outcome) in local {
-                slots[index] = Some(outcome);
-            }
-        }
-        slots
-    }
-
-    /// In-thread batch: identical semantics to the parallel paths, with
-    /// early exit at the first error.
-    fn batch_serial(&self, start: usize, n: usize) -> Vec<BatchSlot> {
-        let mut slots: Vec<BatchSlot> = Vec::new();
-        for index in 0..n {
-            let seed = derive_scene_seed(self.root_seed, (start + index) as u64);
-            let outcome = sample_scene(
-                self.scenario,
-                self.config,
-                seed,
-                self.prune.as_deref(),
-                self.engine,
-            );
-            let failed = outcome.0.is_err();
-            slots.push(Some(outcome));
-            if failed {
-                break;
-            }
-        }
-        slots
-    }
-
-    /// Per-call scoped threads, all running [`drain_batch`]. A worker
-    /// panic (an interpreter bug) surfaces as
-    /// [`ScenicError::WorkerPanic`] instead of poisoning the caller, so
-    /// long-running drivers keep serving.
-    fn batch_scoped(&self, n: usize, jobs: usize) -> RunResult<Vec<BatchSlot>> {
-        let shared = self.batch_shared(0, n);
-        let results = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let shared = &shared;
-                    scope.spawn(move || drain_batch(shared))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| {
-                    worker.join().map_err(|panic| ScenicError::WorkerPanic {
-                        message: crate::pool::panic_message(&*panic),
-                    })
-                })
-                .collect::<RunResult<Vec<_>>>()
-        })?;
-        Ok(Self::fill_slots(n, results))
-    }
-
-    /// Persistent-pool dispatch: `jobs` copies of [`drain_batch`] on the
-    /// pool (one inline on this thread), no thread spawned after the
-    /// pool's first growth to this concurrency. Worker panics surface
-    /// as [`ScenicError::WorkerPanic`], same as the scoped path.
-    fn batch_pooled(
-        &self,
-        pool: &WorkerPool,
-        start: usize,
-        n: usize,
-        jobs: usize,
-    ) -> RunResult<Vec<BatchSlot>> {
-        let shared = Arc::new(self.batch_shared(start, n));
-        let worker_shared = Arc::clone(&shared);
-        let results = pool
-            .try_execute(jobs, move |_| drain_batch(&worker_shared))
-            .map_err(|message| ScenicError::WorkerPanic { message })?;
-        Ok(Self::fill_slots(n, results))
     }
 }
 

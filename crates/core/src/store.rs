@@ -50,6 +50,7 @@
 use crate::cache::source_hash;
 use crate::error::Pruner;
 use crate::interp::{assemble_with_world, Scenario};
+use crate::json_escape;
 use crate::prune::{PruneParams, PrunePlan, PrunerEffect, RegionGuard};
 use crate::world::{NativeValue, World};
 use scenic_geom::field::FieldCell;
@@ -806,22 +807,6 @@ fn relink_native_region(world: &World, module: &str, name: &str) -> Option<Arc<R
 // ---------------------------------------------------------------------
 // Ledger rendering and parsing
 // ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Deterministic ledger rendering: entries sorted by key, one object
 /// per line, fixed field order, `u64`s as decimal strings (the vendored

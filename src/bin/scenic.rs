@@ -11,7 +11,6 @@
 //! scenic sample <file>... [--world W] [-n N] [--seed S] [--jobs J]
 //!               [--repeat R] [--format json|gta|wbt|summary]
 //!               [--out DIR] [--stats]
-//! scenic bench-pool <file>... [--world W] [--jobs J] [--seed S]
 //! scenic exp    <name>... [--scale S] [--seed N] [--jobs J]
 //!               [--json PATH] [--md PATH]
 //! scenic serve  [--host H] [--port P]
@@ -35,10 +34,6 @@
 //! and world, so `--repeat R` pays one compile for `R` sampling rounds
 //! (round `r` re-roots the seed at `S + r`), and the same file listed
 //! twice — or reached via two paths — is compiled once.
-//!
-//! `bench-pool` measures what the persistent worker pool buys: it times
-//! `sample_batch` per call under the scoped-spawn strategy (fresh
-//! threads per call) and the persistent pool, at batch sizes 1/8/64.
 //!
 //! `exp` reproduces the paper's evaluation: each named experiment (or
 //! `all`) drives the full sample → render → train → evaluate pipeline
@@ -64,8 +59,8 @@ use scenic::core::diag::{render_json, render_line, render_text, Diagnostic, Seve
 use scenic::core::prune::{PruneDecision, PrunePlan};
 use scenic::core::sampler::{Sampler, SamplerConfig, SamplerStats};
 use scenic::core::{
-    analyze, batch_digest, compile_with_world, ArtifactStore, LedgerKey, PruneParams,
-    ScenarioCache, ScenicError, StoreError, World,
+    analyze, batch_digest, ArtifactStore, LedgerKey, PruneParams, ScenarioCache, ScenicError,
+    StoreError, World,
 };
 use scenic::prelude::{Scene, Vec2};
 use scenic::serve::format::{file_extension, render_scene};
@@ -115,7 +110,6 @@ usage:
   scenic prune-report <file>... [--world W] [-n N] [--seed S] [--jobs J]
                 [--min-radius R] [--heading LO,HI] [--heading-tolerance D]
                 [--max-distance M] [--min-width W]
-  scenic bench-pool <file>... [--world gta|mars|bare] [--jobs J] [--seed S]
   scenic exp    <name>... [--scale S] [--seed N] [--jobs J]
                 [--json PATH] [--md PATH]
   scenic store  verify [--store DIR]
@@ -166,9 +160,6 @@ by --min-radius (m), --heading LO,HI (deg, relative-heading interval
 enabling orientation pruning), --heading-tolerance (deg),
 --max-distance (m), and --min-width (m, enabling size pruning).
 
-`bench-pool` compares scoped-spawn vs persistent-pool batch sampling
-per call at batch sizes 1/8/64 (its --jobs defaults to 8).
-
 `store verify` audits the artifact store's digest ledger: every
 recorded sampling run is replayed from the stored compiled artifact
 and its batch digest compared against the pinned one. Entries whose
@@ -211,8 +202,8 @@ struct Options {
     /// Whether `--seed` was given explicitly (`exp` distinguishes
     /// per-experiment default seeds from a user override).
     seed_given: bool,
-    /// `None` until `--jobs` is given: `sample` defaults to all cores,
-    /// `bench-pool` to 8 (the worker count the pool is sized against).
+    /// `None` until `--jobs` is given: local sampling defaults to all
+    /// cores, `client` sends 0 and lets the daemon choose.
     jobs: Option<usize>,
     repeat: usize,
     format: String,
@@ -685,53 +676,6 @@ fn record_round(
             Ok(())
         }
     }
-}
-
-/// Mean wall-clock per call of `f`, in microseconds (one warm-up call,
-/// then at least 8 timed calls or 150 ms, whichever is more).
-fn time_per_call(mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: first pool call pays the one-time thread spawn
-    let budget = std::time::Duration::from_millis(150);
-    let start = std::time::Instant::now();
-    let mut calls = 0u32;
-    while calls < 8 || (start.elapsed() < budget && calls < 10_000) {
-        f();
-        calls += 1;
-    }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
-}
-
-/// `bench-pool`: per-call scoped-spawn vs persistent-pool comparison.
-fn bench_pool(options: &Options, world: &LoadedWorld) -> Result<(), CliError> {
-    let jobs = options.jobs.unwrap_or(8);
-    for file in &options.files {
-        let source = read_source(file)?;
-        let scenario =
-            compile_with_world(&source, &world.core).map_err(|e| scenic_err(file, &source, e))?;
-        println!(
-            "{file}: scoped-spawn vs persistent pool, jobs={jobs}, seed={}",
-            options.seed
-        );
-        for batch in [1usize, 8, 64] {
-            let scoped = time_per_call(|| {
-                let mut sampler = Sampler::new(&scenario).with_seed(options.seed);
-                sampler
-                    .sample_batch_scoped(batch, jobs)
-                    .expect("scoped batch");
-            });
-            let pooled = time_per_call(|| {
-                let mut sampler = Sampler::new(&scenario).with_seed(options.seed);
-                sampler.sample_batch(batch, jobs).expect("pooled batch");
-            });
-            println!(
-                "  batch={batch:>2}: scoped {scoped:>9.1} µs/call, pool {pooled:>9.1} µs/call \
-                 ({:+.1} µs, {:.2}x)",
-                pooled - scoped,
-                scoped / pooled,
-            );
-        }
-    }
-    Ok(())
 }
 
 /// One `module.name: pruner area -> area` table row per guard stage.
@@ -1429,11 +1373,6 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
         "prune-report" => {
             let world = build_world(&options.world);
             prune_report(options, &world)?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "bench-pool" => {
-            let world = build_world(&options.world);
-            bench_pool(options, &world)?;
             Ok(ExitCode::SUCCESS)
         }
         "exp" => exp_command(options),

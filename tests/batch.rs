@@ -91,3 +91,49 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+/// A native function that panics while `armed` is set stands in for an
+/// interpreter bug: every dispatch width must report it as
+/// `ScenicError::WorkerPanic` rather than unwind through the caller,
+/// and the same sampler must keep working once the bug is gone.
+#[test]
+fn worker_panic_is_an_error_for_every_jobs_value() {
+    use scenic::core::value::NativeFn;
+    use scenic::core::{Module, NativeValue, Value, World};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let armed = Arc::new(AtomicBool::new(true));
+    let trigger = Arc::clone(&armed);
+    let mut world = World::bare();
+    world.add_auto_module(
+        "lib",
+        Module {
+            natives: vec![(
+                "boom".into(),
+                NativeValue::Function(NativeFn {
+                    name: "boom".into(),
+                    imp: Arc::new(move |_, _, _| {
+                        assert!(!trigger.load(Ordering::SeqCst), "boom went off");
+                        Ok(Value::Number(1.0))
+                    }),
+                }),
+            )],
+            source: None,
+        },
+    );
+    let scenario = compile_with_world("ego = Object at 0 @ 0\nx = boom()\n", &world).unwrap();
+    for jobs in [1, 2] {
+        armed.store(true, Ordering::SeqCst);
+        let mut sampler = Sampler::new(&scenario).with_seed(4);
+        match sampler.sample_batch_report(2, jobs) {
+            Err(ScenicError::WorkerPanic { message }) => {
+                assert!(message.contains("boom went off"), "jobs={jobs}: {message}");
+            }
+            other => panic!("jobs={jobs}: expected WorkerPanic, got {other:?}"),
+        }
+        armed.store(false, Ordering::SeqCst);
+        let report = sampler.sample_batch_report(2, jobs).unwrap();
+        assert_eq!(report.scenes.len(), 2, "jobs={jobs}");
+    }
+}

@@ -1,7 +1,9 @@
 //! Integration tests of the compiled-scenario cache and the persistent
 //! sampler worker pool: invalidation semantics, cross-call reuse, and
-//! pooled-vs-scoped output equivalence.
+//! pooled batches against the independent per-index oracle.
 
+use scenic::core::sampler::SamplerStats;
+use scenic::core::Scenario;
 use scenic::gta::{scenarios, MapConfig, World};
 use scenic::prelude::*;
 use std::sync::Arc;
@@ -17,6 +19,20 @@ fn batch_digest(scenes: &[Scene]) -> u64 {
         }
     }
     hash
+}
+
+/// The per-index oracle a batch rooted at `root` must reproduce: scene
+/// `i` drawn alone by a fresh sampler from `derive_scene_seed(root, i)`,
+/// with that draw's statistics.
+fn oracle(
+    scenario: &Scenario,
+    config: SamplerConfig,
+    root: u64,
+    index: usize,
+) -> (Result<Scene, ScenicError>, SamplerStats) {
+    let mut sampler = Sampler::new(scenario).with_config(config);
+    let result = sampler.sample_seeded(derive_scene_seed(root, index as u64));
+    (result, sampler.stats())
 }
 
 #[test]
@@ -66,51 +82,74 @@ fn cached_scenario_samples_identically_to_fresh_compile() {
 }
 
 #[test]
-fn pool_reuse_matches_fresh_scoped_runs_digest_for_digest() {
+fn pool_reuse_matches_per_index_oracle_digest_for_digest() {
     let world = World::generate(MapConfig::default());
     let scenario = compile_with_world(scenarios::SIMPLEST, world.core()).unwrap();
-
-    // Two batches back-to-back on the persistent pool (the second call
-    // reuses the threads the first one spawned)...
-    let pooled_first = Sampler::new(&scenario)
-        .with_seed(3)
-        .sample_batch(4, 4)
-        .unwrap();
-    let pooled_second = Sampler::new(&scenario)
-        .with_seed(9)
-        .sample_batch(4, 4)
-        .unwrap();
-
-    // ...must equal two fresh scoped-spawn runs, digest for digest.
-    let scoped_first = Sampler::new(&scenario)
-        .with_seed(3)
-        .sample_batch_scoped(4, 4)
-        .unwrap();
-    let scoped_second = Sampler::new(&scenario)
-        .with_seed(9)
-        .sample_batch_scoped(4, 4)
-        .unwrap();
-    assert_eq!(batch_digest(&pooled_first), batch_digest(&scoped_first));
-    assert_eq!(batch_digest(&pooled_second), batch_digest(&scoped_second));
-    assert_ne!(batch_digest(&pooled_first), batch_digest(&pooled_second));
+    let expected = |root: u64| {
+        let scenes: Vec<Scene> = (0..4)
+            .map(|i| {
+                oracle(&scenario, SamplerConfig::default(), root, i)
+                    .0
+                    .unwrap()
+            })
+            .collect();
+        batch_digest(&scenes)
+    };
+    for jobs in [1, 4] {
+        // Two batches back-to-back on the persistent pool: the second
+        // call reuses the threads the first one needed. No test in this
+        // file asks for more than 4 jobs, so nothing else grows the
+        // global pool in between.
+        let first = Sampler::new(&scenario)
+            .with_seed(3)
+            .sample_batch(4, jobs)
+            .unwrap();
+        let workers = WorkerPool::global().workers();
+        assert!(workers >= jobs - 1, "pool did not grow for jobs={jobs}");
+        let second = Sampler::new(&scenario)
+            .with_seed(9)
+            .sample_batch(4, jobs)
+            .unwrap();
+        assert_eq!(
+            WorkerPool::global().workers(),
+            workers,
+            "second call respawned"
+        );
+        assert_eq!(batch_digest(&first), expected(3), "jobs={jobs}");
+        assert_eq!(batch_digest(&second), expected(9), "jobs={jobs}");
+        assert_ne!(batch_digest(&first), batch_digest(&second));
+    }
 }
 
 #[test]
-fn private_pool_reports_match_scoped_reports() {
+fn pool_reports_match_per_index_oracle() {
     let scenario = compile("ego = Object at 0 @ 0\nObject at 0 @ (4, 9)\n").unwrap();
-    let pool = WorkerPool::new(1);
-    let mut pooled = Sampler::new(&scenario).with_seed(5);
-    let mut scoped = Sampler::new(&scenario).with_seed(5);
-    for _ in 0..2 {
-        let a = pooled.sample_batch_report_with(&pool, 5, 3).unwrap();
-        let b = scoped.sample_batch_report_scoped(5, 3).unwrap();
-        assert_eq!(batch_digest(&a.scenes), batch_digest(&b.scenes));
-        assert_eq!(a.per_scene, b.per_scene);
+    let config = SamplerConfig::default();
+    let (scenes, per_scene): (Vec<Scene>, Vec<SamplerStats>) = (0..5)
+        .map(|i| {
+            let (scene, stats) = oracle(&scenario, config, 5, i);
+            (scene.unwrap(), stats)
+        })
+        .unzip();
+    let mut oracle_total = SamplerStats::default();
+    for stats in &per_scene {
+        oracle_total.merge(stats);
     }
-    assert_eq!(pooled.stats(), scoped.stats());
-    // jobs=3 runs one worker inline and two on the pool: the 1-thread
-    // pool must have grown to 2 for the first batch, then stayed put.
-    assert_eq!(pool.workers(), 2, "pool did not grow for the batches");
+    for jobs in [1, 4] {
+        let mut sampler = Sampler::new(&scenario).with_seed(5);
+        for _ in 0..2 {
+            let report = sampler.sample_batch_report(5, jobs).unwrap();
+            assert_eq!(
+                batch_digest(&report.scenes),
+                batch_digest(&scenes),
+                "jobs={jobs}"
+            );
+            assert_eq!(report.per_scene, per_scene, "jobs={jobs}");
+        }
+        let mut twice = oracle_total;
+        twice.merge(&oracle_total);
+        assert_eq!(sampler.stats(), twice, "jobs={jobs}");
+    }
 }
 
 #[test]
@@ -175,20 +214,37 @@ fn concurrent_clients_share_exactly_one_compilation() {
 }
 
 #[test]
-fn pooled_batch_error_matches_scoped_error() {
-    // Unsatisfiable: two objects pinned to the same spot.
-    let scenario = compile("ego = Object at 0 @ 0\nObject at 0 @ 0.5\n").unwrap();
-    let config = SamplerConfig { max_iterations: 5 };
-    let mut pooled = Sampler::new(&scenario).with_seed(1).with_config(config);
-    let mut scoped = Sampler::new(&scenario).with_seed(1).with_config(config);
-    let a = pooled.sample_batch(4, 4).unwrap_err();
-    let b = scoped.sample_batch_scoped(4, 4).unwrap_err();
-    assert_eq!(a, b, "pooled and scoped dispatch disagree on the error");
-    assert_eq!(
-        pooled.stats(),
-        scoped.stats(),
-        "cancellation statistics drifted between dispatch strategies"
-    );
+fn pooled_batch_error_matches_per_index_oracle() {
+    // The second object collides with the ego about half the time, and
+    // a one-iteration budget turns every collision into a failed scene.
+    let scenario = compile("ego = Object at 0 @ 0\nObject at 0 @ (0, 2)\n").unwrap();
+    let config = SamplerConfig { max_iterations: 1 };
+    const N: usize = 8;
+    // First root whose lowest failing index is past 0, so the batch
+    // has accepted scenes before its error.
+    let (root, error, stats) = (0u64..)
+        .find_map(|root| {
+            let mut total = SamplerStats::default();
+            for i in 0..N {
+                let (result, stats) = oracle(&scenario, config, root, i);
+                total.merge(&stats);
+                if let Err(error) = result {
+                    return (i > 0).then_some((root, error, total));
+                }
+            }
+            None
+        })
+        .unwrap();
+    for jobs in [1, 4] {
+        let mut sampler = Sampler::new(&scenario).with_seed(root).with_config(config);
+        let err = sampler.sample_batch(N, jobs).unwrap_err();
+        assert_eq!(err, error, "jobs={jobs}: not the lowest-index error");
+        assert_eq!(
+            sampler.stats(),
+            stats,
+            "jobs={jobs}: cancellation statistics drifted from the oracle"
+        );
+    }
 }
 
 #[test]

@@ -599,26 +599,6 @@ fn prune_report_without_applicable_regions_says_so() {
 }
 
 #[test]
-fn bench_pool_reports_both_strategies() {
-    let path = write_scenario("bench.scenic", "ego = Object at 0 @ 0\n");
-    let out = run(&[
-        "bench-pool",
-        path.to_str().unwrap(),
-        "--world",
-        "bare",
-        "--jobs",
-        "2",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("jobs=2"), "{text}");
-    for batch in ["batch= 1", "batch= 8", "batch=64"] {
-        assert!(text.contains(batch), "missing {batch}: {text}");
-    }
-    assert!(text.contains("scoped") && text.contains("pool"), "{text}");
-}
-
-#[test]
 fn engine_ast_output_is_byte_identical_to_compiled_default() {
     // The compiled engine (the default) must sample the exact scenes
     // the reference interpreter samples — `--engine` only changes how
