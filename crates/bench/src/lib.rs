@@ -2,10 +2,8 @@
 //!
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§6, Appendix D) for `scenic exp`, comparing
-//! against the paper's reported numbers; the Criterion benches under
-//! `benches/` measure sampling, pruning, front-end, and detector
-//! performance, and the `bench_sampling` / `bench_load` binaries write
-//! the committed throughput artifacts.
+//! against the paper's reported numbers. Throughput is measured by the
+//! separate `perfbench/` benchmark, not here.
 //!
 //! Scale: the paper trained a real CNN on thousands of GTAV renders;
 //! our substrate is cheap enough to rerun end-to-end, but dataset sizes
@@ -66,41 +64,6 @@ pub fn exp_cache() -> &'static ScenarioCache {
             None => ScenarioCache::new(),
         },
     )
-}
-
-/// Command-line handling shared by the `bench_*` binaries: runs
-/// `parse` over the arguments after the program name. `Ok(None)` (the
-/// parser saw `--help`) prints `usage` to stdout and exits 0; an error
-/// is printed as one line to stderr and exits 2.
-pub fn bench_args<A>(
-    usage: &str,
-    parse: impl FnOnce(&mut dyn Iterator<Item = String>) -> Result<Option<A>, String>,
-) -> A {
-    match parse(&mut std::env::args().skip(1)) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            print!("{usage}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e} (see --help)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The value following flag `name`, parsed as `T`.
-///
-/// # Errors
-///
-/// A one-line message when the value is missing or does not parse.
-pub fn flag_value<T: std::str::FromStr>(
-    args: &mut dyn Iterator<Item = String>,
-    name: &str,
-) -> Result<T, String> {
-    let raw = args.next().ok_or_else(|| format!("{name} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{name}: invalid value `{raw}`"))
 }
 
 /// Scales a base count.

@@ -59,7 +59,7 @@
 //! folded program — the reference path — so results stay correct, just
 //! without the speedup.
 
-use crate::env::{own_vars, EnvRef, Scope};
+use crate::env::{clear, own_vars, EnvRef, Scope};
 use crate::error::RunResult;
 use crate::interp::{Interpreter, Scenario};
 use crate::prune::PrunePlan;
@@ -159,6 +159,14 @@ struct HoistedBase {
     cache: Rc<ExecCache>,
 }
 
+impl Drop for HoistedBase {
+    /// The prelude's classes close over the base scope that holds them;
+    /// clearing it frees the scope once `BASES` lets go of the base.
+    fn drop(&mut self) {
+        clear(&self.globals);
+    }
+}
+
 /// Per-thread construction caches handed to each candidate's
 /// interpreter: staged class defaults and memoized specifier
 /// resolution. Keyed to one base environment — entries are only valid
@@ -172,8 +180,9 @@ pub(crate) struct ExecCache {
     /// Staged construction sites keyed by `(specifier-list pointer,
     /// class pointer)`. Both pointers are stable for the cache's
     /// lifetime: the specifier list lives in the folded program this
-    /// cache was built for, and only classes living in `base_env`
-    /// (which this cache keeps alive) are staged.
+    /// cache was built for (a site in a `def` body too, as a definition
+    /// shares its body rather than copying it), and only classes living
+    /// in `base_env` (which this cache keeps alive) are staged.
     pub(crate) ctors: RefCell<HashMap<(usize, usize), Rc<CtorStage>>>,
 }
 
@@ -332,34 +341,33 @@ impl CompiledProgram {
         let snapshot = rng.clone();
         let (globals, imported, clean) = {
             let mut interp = Interpreter::new(&self.folded, &mut rng);
-            if interp.run_prefix().is_err() {
-                return None;
-            }
+            let ran = interp.run_prefix();
             let (globals, imported) = interp.base_snapshot();
-            let clean = interp.prefix_is_clean();
-            (globals, imported, clean)
+            (globals, imported, ran.is_ok() && interp.prefix_is_clean())
+        };
+        // Owned by a base from here on, so a rejected base is cleared
+        // on drop like any other.
+        let base = HoistedBase {
+            cache: Rc::new(ExecCache {
+                base_env: globals.clone(),
+                defaults: RefCell::new(HashMap::new()),
+                ctors: RefCell::new(HashMap::new()),
+            }),
+            globals,
+            imported,
         };
         if rng != snapshot || !clean {
             return None;
         }
-        for (name, value) in own_vars(&globals) {
+        for (name, value) in own_vars(&base.globals) {
             if self.mutable_names.contains(&name) {
                 return None;
             }
-            if !value_is_hoist_safe(&value, &globals) {
+            if !value_is_hoist_safe(&value, &base.globals) {
                 return None;
             }
         }
-        let cache = Rc::new(ExecCache {
-            base_env: globals.clone(),
-            defaults: RefCell::new(HashMap::new()),
-            ctors: RefCell::new(HashMap::new()),
-        });
-        Some(HoistedBase {
-            globals,
-            imported,
-            cache,
-        })
+        Some(base)
     }
 }
 
@@ -436,19 +444,19 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
             targets: targets.clone(),
             scale: scale.as_ref().map(fold_expr),
         },
-        StmtKind::FuncDef(fd) => StmtKind::FuncDef(FuncDef {
+        StmtKind::FuncDef(fd) => StmtKind::FuncDef(Arc::new(FuncDef {
             name: fd.name.clone(),
             params: fold_params(&fd.params),
             body: fold_block(&fd.body),
-        }),
-        StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(SpecifierDef {
+        })),
+        StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(Arc::new(SpecifierDef {
             name: sd.name.clone(),
             params: fold_params(&sd.params),
             specifies: sd.specifies.clone(),
             optional: sd.optional.clone(),
             requires: sd.requires.clone(),
             body: fold_block(&sd.body),
-        }),
+        })),
         StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(fold_expr)),
         StmtKind::If {
             branches,
@@ -1115,6 +1123,53 @@ mod tests {
         for name in ["f", "b", "c", "i", "d"] {
             assert!(defined.contains(name), "missing {name}");
         }
+    }
+
+    #[test]
+    fn compiled_run_frees_a_candidate_scope_holding_a_def() {
+        let scenario = crate::compile("def f():\n    return 1\nego = Object at f() @ 0\n").unwrap();
+        let program = scenario.compiled();
+        let base = program.base().expect("prefix hoists");
+        // What `generate` does, keeping a handle on the candidate scope.
+        let globals = Scope::child(&base.globals);
+        let scope = Rc::downgrade(&globals);
+        let mut rng = StdRng::seed_from_u64(0);
+        Interpreter::with_base(
+            &program.folded,
+            &mut rng,
+            globals,
+            base.imported.clone(),
+            Rc::clone(&base.cache),
+            None,
+        )
+        .run_main()
+        .unwrap();
+        assert!(scope.upgrade().is_none(), "the candidate scope leaked");
+    }
+
+    #[test]
+    fn def_body_sites_stage_once() {
+        // A `def` shares its body with the program, so a construction
+        // site inside it keeps one address — one staging key — across
+        // candidates, even though each candidate's `def` is freed.
+        let scenario =
+            crate::compile("def make(x):\n    return Object at x @ 0\nego = make(0)\n").unwrap();
+        let program = scenario.compiled();
+        let mut rng = StdRng::seed_from_u64(0);
+        for _ in 0..3 {
+            program.generate(&mut rng, None).unwrap();
+        }
+        let base = program.base().expect("prefix hoists");
+        assert_eq!(base.cache.ctors.borrow().len(), 1);
+    }
+
+    #[test]
+    fn dropped_base_frees_its_scope() {
+        let scenario = crate::compile("ego = Object at 0 @ 0\n").unwrap();
+        let base = scenario.compiled().build_base().expect("prefix hoists");
+        let scope = Rc::downgrade(&base.globals);
+        drop(base);
+        assert!(scope.upgrade().is_none(), "the base scope leaked");
     }
 
     #[test]

@@ -56,6 +56,19 @@ pub(crate) fn own_vars(env: &EnvRef) -> Vec<(String, Value)> {
         .collect()
 }
 
+/// Drops every name a scope defines, keeping its parent link.
+///
+/// A `def`, `class` or `specifier` holds an `Rc` of the scope it was
+/// defined in while that scope holds the definition, so a scope with
+/// any definition is an `Rc` cycle. Clearing it when its run ends
+/// breaks the cycle and lets the scope be freed.
+pub(crate) fn clear(env: &EnvRef) {
+    // Take the map out first: dropping a value must not find the
+    // scope still borrowed.
+    let vars = std::mem::take(&mut env.borrow_mut().vars);
+    drop(vars);
+}
+
 /// Assigns to an existing name in the nearest enclosing scope that has
 /// it, or defines it in the current scope (Python-like assignment
 /// without `nonlocal`: we write into the scope that already holds the

@@ -10,7 +10,7 @@
 
 use crate::builtins;
 use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
-use crate::env::{assign, define, lookup, EnvRef, Scope};
+use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
 use crate::object::{oriented_point, ObjData, ObjRef};
 use crate::prune::{self, PruneParams, PrunePlan};
@@ -454,14 +454,17 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         }
     }
 
-    /// Runs the program to completion and finalizes the scene.
+    /// Runs the program to completion and finalizes the scene. The
+    /// global scope is cleared when the run ends, so an interpreter
+    /// runs once.
     ///
     /// # Errors
     ///
     /// Rejections and program errors, per [`Scenario::generate`].
     pub fn run(&mut self) -> RunResult<Scene> {
-        self.run_prefix()?;
-        self.run_main()
+        let scene = self.run_prefix().and_then(|()| self.exec_main());
+        clear(&self.globals);
+        scene
     }
 
     /// The deterministic prefix of every run: install builtins, bind
@@ -485,8 +488,16 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     }
 
     /// The per-candidate remainder of a run: execute the user program
-    /// and finalize the scene.
+    /// and finalize the scene. Either way the run ends, the candidate's
+    /// global scope is cleared (see [`crate::env::clear`]); its parent,
+    /// the hoisted base, is left as it is.
     pub(crate) fn run_main(&mut self) -> RunResult<Scene> {
+        let scene = self.exec_main();
+        clear(&self.globals);
+        scene
+    }
+
+    fn exec_main(&mut self) -> RunResult<Scene> {
         let program = Arc::clone(&self.scenario.program);
         self.exec_block(&program.statements, &self.globals.clone())?;
         self.finalize()
@@ -617,7 +628,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     env,
                     &fd.name,
                     Value::Function(Rc::new(crate::value::UserFunc {
-                        def: fd.clone(),
+                        def: Arc::clone(fd),
                         closure: env.clone(),
                     })),
                 );
@@ -627,7 +638,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     env,
                     &sd.name,
                     Value::Specifier(Rc::new(crate::value::UserSpecifier {
-                        def: sd.clone(),
+                        def: Arc::clone(sd),
                         closure: env.clone(),
                     })),
                 );
@@ -2056,5 +2067,34 @@ fn maybe_taint(value: Value, random: bool) -> Value {
         tainted(value)
     } else {
         value
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::rc::Weak;
+
+    /// Runs `source` once on the AST engine and returns a handle to the
+    /// finished run's global scope.
+    fn ast_run_scope(source: &str) -> Weak<RefCell<Scope>> {
+        let scenario = compile(source).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut interp = Interpreter::new(&scenario, &mut rng);
+        let scope = Rc::downgrade(&interp.globals);
+        interp.run().unwrap();
+        scope
+    }
+
+    #[test]
+    fn ast_run_frees_a_scope_holding_a_def() {
+        let scope = ast_run_scope("def f():\n    return 1\nego = Object at f() @ 0\n");
+        assert!(scope.upgrade().is_none(), "the run's scope leaked");
+    }
+
+    #[test]
+    fn ast_run_frees_a_scope_holding_a_class() {
+        let scope = ast_run_scope("class Crate(Object):\n    width: 2\nego = Crate at 0 @ 0\n");
+        assert!(scope.upgrade().is_none(), "the run's scope leaked");
     }
 }

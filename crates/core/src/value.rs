@@ -152,8 +152,8 @@ pub struct SampleValue {
 
 /// A user-defined function (closure over its defining environment).
 pub struct UserFunc {
-    /// The parsed definition.
-    pub def: scenic_lang::FuncDef,
+    /// The parsed definition, shared with the program it came from.
+    pub def: Arc<scenic_lang::FuncDef>,
     /// Captured environment.
     pub closure: crate::env::EnvRef,
 }
@@ -168,8 +168,8 @@ impl fmt::Debug for UserFunc {
 /// declared with the `specifier` statement and applied at a construction
 /// site with `using name(args)`.
 pub struct UserSpecifier {
-    /// The parsed definition.
-    pub def: scenic_lang::SpecifierDef,
+    /// The parsed definition, shared with the program it came from.
+    pub def: Arc<scenic_lang::SpecifierDef>,
     /// Captured environment.
     pub closure: crate::env::EnvRef,
 }

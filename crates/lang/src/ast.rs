@@ -5,6 +5,7 @@
 
 use crate::token::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed Scenic scenario: a sequence of imports followed by
 /// statements.
@@ -73,11 +74,12 @@ pub enum StmtKind {
         /// Noise scale (default 1).
         scale: Option<Expr>,
     },
-    /// `def name(params): body`
-    FuncDef(FuncDef),
+    /// `def name(params): body` — shared, so executing the definition
+    /// captures it without copying the body.
+    FuncDef(Arc<FuncDef>),
     /// `specifier name(params) specifies props …: body` — a user-defined
     /// specifier (the extension named in §8 of the paper).
-    SpecifierDef(SpecifierDef),
+    SpecifierDef(Arc<SpecifierDef>),
     /// `return [expr]`
     Return(Option<Expr>),
     /// `if/elif/else`

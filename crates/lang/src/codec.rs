@@ -27,6 +27,7 @@ use crate::ast::{
 };
 use crate::token::{Pos, Span};
 use std::fmt;
+use std::sync::Arc;
 
 /// A malformed byte stream: truncation, an unknown tag, or invalid
 /// UTF-8. Carries a short human-readable reason.
@@ -459,7 +460,7 @@ fn stmt_dec(r: &mut ByteReader) -> Result<Stmt, CodecError> {
             let name = r.str()?;
             let params = params_dec(r)?;
             let body = body_dec(r)?;
-            StmtKind::FuncDef(FuncDef { name, params, body })
+            StmtKind::FuncDef(Arc::new(FuncDef { name, params, body }))
         }
         8 => {
             let name = r.str()?;
@@ -468,14 +469,14 @@ fn stmt_dec(r: &mut ByteReader) -> Result<Stmt, CodecError> {
             let optional = strings_dec(r)?;
             let requires = strings_dec(r)?;
             let body = body_dec(r)?;
-            StmtKind::SpecifierDef(SpecifierDef {
+            StmtKind::SpecifierDef(Arc::new(SpecifierDef {
                 name,
                 params,
                 specifies,
                 optional,
                 requires,
                 body,
-            })
+            }))
         }
         9 => StmtKind::Return(opt_expr_dec(r)?),
         10 => {

@@ -26,6 +26,7 @@ use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
 use crate::lexer::lex;
 use crate::token::{Pos, Span, Token, TokenKind};
+use std::sync::Arc;
 
 /// Parsed call arguments: positional then keyword.
 type CallArgs = (Vec<Expr>, Vec<(String, Expr)>);
@@ -386,7 +387,7 @@ impl Parser {
         }
         self.expect(&TokenKind::Colon)?;
         let body = self.parse_block()?;
-        Ok(StmtKind::FuncDef(FuncDef { name, params, body }))
+        Ok(StmtKind::FuncDef(Arc::new(FuncDef { name, params, body })))
     }
 
     /// `specifier name(params) specifies p, … [optionally q, …]
@@ -428,14 +429,14 @@ impl Parser {
         };
         self.expect(&TokenKind::Colon)?;
         let body = self.parse_block()?;
-        Ok(StmtKind::SpecifierDef(SpecifierDef {
+        Ok(StmtKind::SpecifierDef(Arc::new(SpecifierDef {
             name,
             params,
             specifies,
             optional,
             requires,
             body,
-        }))
+        })))
     }
 
     /// A comma-separated list of identifiers (property names).

@@ -68,7 +68,7 @@ use scenic::serve::proto::{Request, Response, SampleRequest};
 use scenic::serve::{Client, ClientError, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A run-time failure: scenic-language errors carry the file and source
 /// so `main` can render them through the diagnostics renderer; anything
@@ -145,7 +145,7 @@ options:
                 summary); lint takes text|json (default text)
   --out DIR     write one file per scene instead of stdout
   --stats       print rejection-sampling, pruning, and compile-cache
-                statistics to stderr
+                statistics, and the time spent sampling, to stderr
   --ppm         also write a top-down scene_NNNN.ppm (needs --out)
   --scale S     (exp) dataset scale factor, positive (default 1.0)
   --json PATH   (exp) write the scenic-exp/v1 JSON artifact
@@ -250,12 +250,18 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
-    args.next(); // program name
-    let command = args.next().ok_or("missing command")?;
-    if command == "--help" || command == "-h" || command == "help" {
-        return Err(String::new());
+/// Parses the arguments after the program name. `Ok(None)` means help
+/// was asked for: `--help`, `-h` or `help` in any position.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+    let args: Vec<String> = args.collect();
+    if args
+        .iter()
+        .any(|a| matches!(a.as_str(), "--help" | "-h" | "help"))
+    {
+        return Ok(None);
     }
+    let mut args = args.into_iter();
+    let command = args.next().ok_or("missing command")?;
     let mut options = Options {
         command,
         files: Vec::new(),
@@ -287,7 +293,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         store: None,
         no_store: false,
     };
-    let mut args = args.peekable();
     let mut format_given = false;
     while let Some(arg) = args.next() {
         let mut take = |name: &str| -> Result<String, String> {
@@ -456,7 +461,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
             options.format
         ));
     }
-    Ok(options)
+    Ok(Some(options))
 }
 
 /// The compiled world plus whatever background polygons a top-down
@@ -578,6 +583,8 @@ fn unique_stems(files: &[String]) -> Vec<String> {
 
 /// One sampling round of one scenario: draw `n` scenes, write them
 /// out, and return the batch digest (for the store's audit ledger).
+/// `total` gains the round's sampler statistics and `sampling` the
+/// wall-clock time of the `sample_batch` call alone.
 #[allow(clippy::too_many_arguments)]
 fn sample_round(
     options: &Options,
@@ -589,6 +596,7 @@ fn sample_round(
     rep: usize,
     jobs: usize,
     total: &mut SamplerStats,
+    sampling: &mut Duration,
 ) -> Result<u64, CliError> {
     let seed = options.seed.wrapping_add(rep as u64);
     let mut sampler = Sampler::new(scenario)
@@ -597,9 +605,11 @@ fn sample_round(
     if options.prune {
         sampler = sampler.with_pruning();
     }
+    let start = Instant::now();
     let scenes = sampler
         .sample_batch(options.n, jobs)
         .map_err(|e| scenic_err(file, source, e))?;
+    *sampling += start.elapsed();
     let digest = batch_digest(&scenes);
     // Per-scene output names must stay unique across scenarios and
     // rounds sharing one --out directory.
@@ -1323,6 +1333,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
             // when a previous process persisted the same scenario.
             let cache = resolve_cache(options)?;
             let mut total = SamplerStats::default();
+            let mut sampling = Duration::ZERO;
             let mut plans: Vec<(String, Arc<PrunePlan>)> = Vec::new();
             let mut decisions: Vec<(String, Vec<PruneDecision>)> = Vec::new();
             let stems = unique_stems(&options.files);
@@ -1339,7 +1350,16 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                         decisions.push((file.clone(), scenario.derived_prune_decisions()));
                     }
                     let digest = sample_round(
-                        options, &world, &scenario, file, &source, stem, rep, jobs, &mut total,
+                        options,
+                        &world,
+                        &scenario,
+                        file,
+                        &source,
+                        stem,
+                        rep,
+                        jobs,
+                        &mut total,
+                        &mut sampling,
                     )?;
                     if let Some(store) = cache.store() {
                         record_round(store, options, &source, rep, jobs, digest)?;
@@ -1358,6 +1378,13 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                     total.collision_rejections,
                     total.containment_rejections,
                     total.visibility_rejections,
+                );
+                let secs = sampling.as_secs_f64();
+                eprintln!(
+                    "sampling: {} scene(s) in {:.3} ms ({:.1} scenes/s)",
+                    total.scenes,
+                    secs * 1000.0,
+                    total.scenes as f64 / secs,
                 );
                 print_prune_stats(options.prune, &plans, &total);
                 print_prune_decisions(&decisions);
@@ -1384,8 +1411,12 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
 }
 
 fn main() -> ExitCode {
-    match parse_args(std::env::args()) {
-        Ok(options) => match run(&options) {
+    match parse_args(std::env::args().skip(1)) {
+        Ok(None) => {
+            print!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Ok(Some(options)) => match run(&options) {
             Ok(code) => code,
             Err(CliError::Scenic { file, source, err }) => {
                 let d = Diagnostic::from_error(&err);
@@ -1398,9 +1429,7 @@ fn main() -> ExitCode {
             }
         },
         Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
+            eprintln!("error: {message}\n");
             eprint!("{USAGE}");
             ExitCode::from(2)
         }

@@ -43,9 +43,41 @@ fn no_arguments_prints_usage() {
 
 #[test]
 fn help_prints_usage() {
-    let out = run(&["--help"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("scenic sample"));
+    // Help is not an error: usage on stdout, exit 0, wherever it sits.
+    let cases: [&[&str]; 5] = [
+        &["--help"],
+        &["-h"],
+        &["help"],
+        &["sample", "f.scenic", "--help"],
+        &["sample", "-n", "2", "-h"],
+    ];
+    for args in cases {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with("usage:"), "{args:?}");
+        assert!(stdout(&out).contains("scenic sample"), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+    }
+}
+
+#[test]
+fn bad_arguments_are_usage_errors() {
+    let path = write_scenario("usage.scenic", "ego = Car\n");
+    let file = path.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["sample", file, "--bogus"],
+        &["sample", file, "-n"],
+        &["sample", file, "-n", "many"],
+        &["sample", file, "--seed"],
+    ];
+    for args in cases {
+        let out = run(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    }
 }
 
 #[test]
@@ -248,6 +280,35 @@ fn sample_stats_go_to_stderr() {
     let out = run(&["sample", path.to_str().unwrap(), "-n", "2", "--stats"]);
     assert!(out.status.success());
     assert!(stderr(&out).contains("2 scenes"), "{}", stderr(&out));
+}
+
+#[test]
+fn stats_report_sampling_time_once_without_touching_stdout() {
+    let a = write_scenario("timed_a.scenic", "ego = Car\nCar\n");
+    let b = write_scenario("timed_b.scenic", "ego = Car\n");
+    let args = [
+        "sample",
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        "--repeat",
+        "2",
+        "-n",
+        "3",
+        "--jobs",
+        "1",
+        "--format",
+        "json",
+    ];
+    let plain = run(&args);
+    let with_stats = run(&[&args[..], &["--stats"]].concat());
+    assert!(with_stats.status.success(), "{}", stderr(&with_stats));
+    assert_eq!(plain.stdout, with_stats.stdout, "--stats changed stdout");
+    let err = stderr(&with_stats);
+    let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("sampling:")).collect();
+    // 2 files x 2 rounds x 3 scenes, summed into one line.
+    assert_eq!(lines.len(), 1, "{err}");
+    assert!(lines[0].starts_with("sampling: 12 scene(s) in "), "{err}");
+    assert!(lines[0].ends_with(" scenes/s)"), "{err}");
 }
 
 #[test]
