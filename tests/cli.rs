@@ -41,22 +41,35 @@ fn no_arguments_prints_usage() {
     assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
 }
 
+/// Asserts that `args` print the usage to stdout, nothing to stderr, and
+/// exit 0: help is not an error.
+fn assert_help(args: &[&str]) {
+    let out = run(args);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    assert!(stdout(&out).starts_with("usage:"), "{args:?}");
+    assert!(stdout(&out).contains("scenic sample"), "{args:?}");
+    assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+}
+
 #[test]
 fn help_prints_usage() {
-    // Help is not an error: usage on stdout, exit 0, wherever it sits.
-    let cases: [&[&str]; 5] = [
-        &["--help"],
-        &["-h"],
-        &["help"],
+    for flag in ["--help", "-h", "help"] {
+        assert_help(&[flag]);
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    // Help wins wherever it sits, even after a subcommand and arguments
+    // that would otherwise be parsed (or rejected).
+    let cases: [&[&str]; 4] = [
         &["sample", "f.scenic", "--help"],
         &["sample", "-n", "2", "-h"],
+        &["check", "help"],
+        &["sample", "f.scenic", "--bogus", "--help"],
     ];
     for args in cases {
-        let out = run(args);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
-        assert!(stdout(&out).starts_with("usage:"), "{args:?}");
-        assert!(stdout(&out).contains("scenic sample"), "{args:?}");
-        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+        assert_help(args);
     }
 }
 
@@ -712,6 +725,18 @@ fn engine_shows_in_stats_and_bogus_engine_is_rejected() {
     ]);
     assert_eq!(bad.status.code(), Some(2));
     assert!(stderr(&bad).contains("unknown engine"), "{}", stderr(&bad));
+}
+
+#[test]
+fn bad_engine_is_a_usage_error() {
+    let path = write_scenario("bad_engine.scenic", "ego = Object at 0 @ 0\n");
+    let out = run(&["sample", path.to_str().unwrap(), "--engine", "jit"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error:"), "{err}");
+    assert!(err.contains("unknown engine `jit`"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty(), "wrote to stdout");
 }
 
 // ---------------------------------------------------------------------
