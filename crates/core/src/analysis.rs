@@ -33,7 +33,7 @@ use crate::interp::Scenario;
 use crate::prune;
 use crate::world::NativeValue;
 use scenic_geom::Aabb;
-use scenic_lang::ast::{Expr, Program, Specifier, Stmt, StmtKind};
+use scenic_lang::ast::{Expr, Program, Specifier, Stmt, StmtChild, StmtKind};
 use scenic_lang::Span;
 use std::collections::{HashMap, HashSet};
 
@@ -413,8 +413,9 @@ pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
     let programs = scenario.all_programs();
     let classes = ClassTable::build(&programs);
     let mut diags = Vec::new();
+    let (params, decisions) = prune::derive_params_explained(&programs);
 
-    let mut analyzer = Analyzer::new(scenario, &classes);
+    let mut analyzer = Analyzer::new(scenario, &classes, params.max_distance);
     analyzer.check_defs(&scenario.program, &mut diags);
     analyzer.run(&scenario.program, &mut diags);
 
@@ -424,8 +425,6 @@ pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
     });
 
     // Pruning-derivation notes, in Containment/Orientation/Size order.
-    let (params, decisions) = prune::derive_params_explained(&programs);
-    let _ = params;
     for d in decisions {
         let code = if d.enabled {
             Code::PrunerEnabled
@@ -453,234 +452,47 @@ pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
 /// levels; assignment targets and loop variables are not reads).
 fn collect_uses(stmts: &[Stmt], uses: &mut HashSet<String>) {
     for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => collect_expr_uses(value, uses),
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::ClassDef(cd) => {
-                if let Some(s) = &cd.superclass {
-                    uses.insert(s.clone());
-                }
-                for (_, e) in &cd.properties {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::Expr(e) => collect_expr_uses(e, uses),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    collect_expr_uses(p, uses);
-                }
-                collect_expr_uses(cond, uses);
-            }
-            StmtKind::Mutate { targets, scale } => {
-                for t in targets {
-                    uses.insert(t.clone());
-                }
-                if let Some(e) = scale {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::FuncDef(fd) => {
-                for (_, default) in &fd.params {
-                    if let Some(e) = default {
-                        collect_expr_uses(e, uses);
-                    }
-                }
-                collect_uses(&fd.body, uses);
-            }
-            StmtKind::SpecifierDef(sd) => {
-                for (_, default) in &sd.params {
-                    if let Some(e) = default {
-                        collect_expr_uses(e, uses);
-                    }
-                }
-                collect_uses(&sd.body, uses);
-            }
-            StmtKind::Return(value) => {
-                if let Some(e) = value {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    collect_expr_uses(cond, uses);
-                    collect_uses(body, uses);
-                }
-                collect_uses(else_body, uses);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_expr_uses(iter, uses);
-                collect_uses(body, uses);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr_uses(cond, uses);
-                collect_uses(body, uses);
-            }
-        }
+        stmt_reads(stmt, uses, &mut collect_uses);
     }
 }
 
-fn collect_expr_uses(expr: &Expr, uses: &mut HashSet<String>) {
-    if let Expr::Ident(name) = expr {
-        uses.insert(name.clone());
+/// Records the names `stmt` reads outside its nested bodies — the
+/// [`expr_reads`] of its expressions, a class's superclass and `mutate`
+/// targets — and hands each nested body to `body`.
+pub(crate) fn stmt_reads(
+    stmt: &Stmt,
+    out: &mut HashSet<String>,
+    body: &mut impl FnMut(&[Stmt], &mut HashSet<String>),
+) {
+    match &stmt.kind {
+        StmtKind::ClassDef(cd) => out.extend(cd.superclass.iter().cloned()),
+        StmtKind::Mutate { targets, .. } => out.extend(targets.iter().cloned()),
+        _ => {}
     }
-    if let Expr::Ctor { class, .. } = expr {
-        uses.insert(class.clone());
-    }
-    walk_subexprs(expr, &mut |e| collect_expr_uses(e, uses));
+    stmt.for_each_child(|child| match child {
+        StmtChild::Expr(e) => expr_reads(e, out),
+        StmtChild::Body(stmts) => body(stmts, out),
+    });
 }
 
-/// Calls `f` on every direct subexpression of `expr`.
-fn walk_subexprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    use Expr::*;
+/// Records every name `expr` reads, at every depth: identifiers,
+/// constructor classes and `using` specifier names.
+pub(crate) fn expr_reads(expr: &Expr, out: &mut HashSet<String>) {
     match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
-        Vector(a, b)
-        | Interval(a, b)
-        | RelativeTo(a, b)
-        | OffsetBy(a, b)
-        | FieldAt(a, b)
-        | CanSee(a, b)
-        | IsIn(a, b)
-        | VisibleFrom(a, b) => {
-            f(a);
-            f(b);
+        Expr::Ident(name) => {
+            out.insert(name.clone());
         }
-        Call { func, args, kwargs } => {
-            f(func);
-            args.iter().for_each(&mut *f);
-            kwargs.iter().for_each(|(_, e)| f(e));
-        }
-        Attribute { obj, .. } => f(obj),
-        Index { obj, key } => {
-            f(obj);
-            f(key);
-        }
-        List(items) => items.iter().for_each(&mut *f),
-        Dict(pairs) => pairs.iter().for_each(|(k, v)| {
-            f(k);
-            f(v);
-        }),
-        Neg(e) | NotOp(e) | Deg(e) | Visible(e) => f(e),
-        Binary { lhs, rhs, .. } | Compare { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            f(cond);
-            f(then);
-            f(otherwise);
-        }
-        OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            f(base);
-            f(direction);
-            f(offset);
-        }
-        DistanceTo { from, to } | AngleTo { from, to } => {
-            if let Some(e) = from {
-                f(e);
-            }
-            f(to);
-        }
-        RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
-            f(of);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Follow {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            if let Some(e) = from {
-                f(e);
-            }
-            f(distance);
-        }
-        BoxPointOf { obj, .. } => f(obj),
-        Ctor { specifiers, .. } => {
+        Expr::Ctor { class, specifiers } => {
+            out.insert(class.clone());
             for spec in specifiers {
-                walk_specifier(spec, f);
+                if let Specifier::Using { name, .. } = spec {
+                    out.insert(name.clone());
+                }
             }
         }
+        _ => {}
     }
-}
-
-fn walk_specifier(spec: &Specifier, f: &mut impl FnMut(&Expr)) {
-    use Specifier::*;
-    match spec {
-        With(_, e)
-        | At(e)
-        | OffsetBy(e)
-        | InRegion(e)
-        | Facing(e)
-        | FacingToward(e)
-        | FacingAwayFrom(e) => f(e),
-        OffsetAlong(a, b) => {
-            f(a);
-            f(b);
-        }
-        Beside { target, by, .. } => {
-            f(target);
-            if let Some(e) = by {
-                f(e);
-            }
-        }
-        Beyond {
-            target,
-            offset,
-            from,
-        } => {
-            f(target);
-            f(offset);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Visible(from) => {
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Following {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            if let Some(e) = from {
-                f(e);
-            }
-            f(distance);
-        }
-        ApparentlyFacing { heading, from } => {
-            f(heading);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Using { args, kwargs, .. } => {
-            args.iter().for_each(&mut *f);
-            kwargs.iter().for_each(|(_, e)| f(e));
-        }
-    }
+    expr.for_each_child(|e| expr_reads(e, out));
 }
 
 // ---------------------------------------------------------------------
@@ -703,17 +515,16 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(scenario: &'a Scenario, classes: &'a ClassTable) -> Self {
+    fn new(scenario: &'a Scenario, classes: &'a ClassTable, derived_max_distance: f64) -> Self {
         let programs = scenario.all_programs();
-        let params = prune::derive_params(&programs);
-        let has_mutation = programs.iter().any(|p| stmts_contain_mutate(&p.statements));
+        let has_mutation = prune::hints_from_programs(&programs).has_mutation;
         let mut analyzer = Analyzer {
             scenario,
             classes,
             env: HashMap::new(),
             user_specifiers: HashMap::new(),
             has_mutation,
-            derived_max_distance: params.max_distance,
+            derived_max_distance,
         };
         analyzer.install_natives();
         for program in &programs {
@@ -1525,22 +1336,6 @@ impl<'a> Analyzer<'a> {
             }
         }
     }
-}
-
-fn stmts_contain_mutate(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|stmt| match &stmt.kind {
-        StmtKind::Mutate { .. } => true,
-        StmtKind::FuncDef(fd) => stmts_contain_mutate(&fd.body),
-        StmtKind::SpecifierDef(sd) => stmts_contain_mutate(&sd.body),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| stmts_contain_mutate(b)) || stmts_contain_mutate(else_body)
-        }
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } => stmts_contain_mutate(body),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

@@ -57,17 +57,24 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The FNV-1a (64-bit) offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a (64-bit) state `hash`; start from
+/// [`FNV_OFFSET`]. The one FNV-1a of the crate: source hashes, store
+/// entry checksums and scene digests all call it.
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// FNV-1a (64-bit) over the source bytes: the content half of a
 /// [`ScenarioCache`] key. Stable across platforms and runs (the same
 /// hash family pins the scene digests in `tests/determinism.rs`).
 #[must_use]
 pub fn source_hash(source: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in source.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(FNV_OFFSET, source.as_bytes())
 }
 
 /// A thread-safe cache of compiled scenarios keyed by

@@ -117,152 +117,12 @@ pub fn self_dependencies(expr: &Expr) -> Vec<String> {
 }
 
 fn collect_self_deps(expr: &Expr, out: &mut Vec<String>) {
-    use Expr::*;
-    match expr {
-        Attribute { obj, name } => {
-            if matches!(&**obj, Ident(id) if id == "self") {
-                out.push(name.clone());
-            }
-            collect_self_deps(obj, out);
-        }
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
-        Vector(a, b) | Interval(a, b) => {
-            collect_self_deps(a, out);
-            collect_self_deps(b, out);
-        }
-        Call { func, args, kwargs } => {
-            collect_self_deps(func, out);
-            args.iter().for_each(|a| collect_self_deps(a, out));
-            kwargs.iter().for_each(|(_, v)| collect_self_deps(v, out));
-        }
-        Index { obj, key } => {
-            collect_self_deps(obj, out);
-            collect_self_deps(key, out);
-        }
-        List(items) => items.iter().for_each(|i| collect_self_deps(i, out)),
-        Dict(items) => items.iter().for_each(|(k, v)| {
-            collect_self_deps(k, out);
-            collect_self_deps(v, out);
-        }),
-        Neg(e) | NotOp(e) | Deg(e) | Visible(e) => collect_self_deps(e, out),
-        Binary { lhs, rhs, .. } | Compare { lhs, rhs, .. } => {
-            collect_self_deps(lhs, out);
-            collect_self_deps(rhs, out);
-        }
-        IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            collect_self_deps(cond, out);
-            collect_self_deps(then, out);
-            collect_self_deps(otherwise, out);
-        }
-        RelativeTo(a, b)
-        | OffsetBy(a, b)
-        | FieldAt(a, b)
-        | CanSee(a, b)
-        | IsIn(a, b)
-        | VisibleFrom(a, b) => {
-            collect_self_deps(a, out);
-            collect_self_deps(b, out);
-        }
-        OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            collect_self_deps(base, out);
-            collect_self_deps(direction, out);
-            collect_self_deps(offset, out);
-        }
-        DistanceTo { from, to } | AngleTo { from, to } => {
-            if let Some(f) = from {
-                collect_self_deps(f, out);
-            }
-            collect_self_deps(to, out);
-        }
-        RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
-            collect_self_deps(of, out);
-            if let Some(f) = from {
-                collect_self_deps(f, out);
-            }
-        }
-        Follow {
-            field,
-            from,
-            distance,
-        } => {
-            collect_self_deps(field, out);
-            if let Some(f) = from {
-                collect_self_deps(f, out);
-            }
-            collect_self_deps(distance, out);
-        }
-        BoxPointOf { obj, .. } => collect_self_deps(obj, out),
-        Ctor { specifiers, .. } => {
-            use scenic_lang::ast::Specifier as S;
-            for s in specifiers {
-                match s {
-                    S::With(_, e)
-                    | S::At(e)
-                    | S::OffsetBy(e)
-                    | S::InRegion(e)
-                    | S::Facing(e)
-                    | S::FacingToward(e)
-                    | S::FacingAwayFrom(e)
-                    | S::Visible(Some(e)) => collect_self_deps(e, out),
-                    S::Visible(Option::None) => {}
-                    S::OffsetAlong(a, b) => {
-                        collect_self_deps(a, out);
-                        collect_self_deps(b, out);
-                    }
-                    S::Beside { target, by, .. } => {
-                        collect_self_deps(target, out);
-                        if let Some(b) = by {
-                            collect_self_deps(b, out);
-                        }
-                    }
-                    S::Beyond {
-                        target,
-                        offset,
-                        from,
-                    } => {
-                        collect_self_deps(target, out);
-                        collect_self_deps(offset, out);
-                        if let Some(f) = from {
-                            collect_self_deps(f, out);
-                        }
-                    }
-                    S::Following {
-                        field,
-                        from,
-                        distance,
-                    } => {
-                        collect_self_deps(field, out);
-                        if let Some(f) = from {
-                            collect_self_deps(f, out);
-                        }
-                        collect_self_deps(distance, out);
-                    }
-                    S::ApparentlyFacing { heading, from } => {
-                        collect_self_deps(heading, out);
-                        if let Some(f) = from {
-                            collect_self_deps(f, out);
-                        }
-                    }
-                    S::Using { args, kwargs, .. } => {
-                        for a in args {
-                            collect_self_deps(a, out);
-                        }
-                        for (_, v) in kwargs {
-                            collect_self_deps(v, out);
-                        }
-                    }
-                }
-            }
+    if let Expr::Attribute { obj, name } = expr {
+        if matches!(&**obj, Expr::Ident(id) if id == "self") {
+            out.push(name.clone());
         }
     }
+    expr.for_each_child(|e| collect_self_deps(e, out));
 }
 
 #[cfg(test)]

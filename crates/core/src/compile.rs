@@ -59,6 +59,7 @@
 //! folded program — the reference path — so results stay correct, just
 //! without the speedup.
 
+use crate::analysis;
 use crate::env::{clear, own_vars, EnvRef, Scope};
 use crate::error::RunResult;
 use crate::interp::{Interpreter, Scenario};
@@ -726,75 +727,55 @@ fn fold_compare(op: CmpOp, lhs: Expr, rhs: Expr) -> Expr {
 // Static hoist-safety analysis
 // ---------------------------------------------------------------------
 
-/// Visits every statement, recursing into all nested bodies (function,
-/// specifier, `if`/`for`/`while`).
-fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for stmt in stmts {
-        f(stmt);
-        match &stmt.kind {
-            StmtKind::FuncDef(fd) => for_each_stmt(&fd.body, f),
-            StmtKind::SpecifierDef(sd) => for_each_stmt(&sd.body, f),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    for_each_stmt(body, f);
-                }
-                for_each_stmt(else_body, f);
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => for_each_stmt(body, f),
-            _ => {}
-        }
-    }
-}
-
 /// `assign` targets at every nesting depth.
 fn assigns_all(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for_each_stmt(stmts, &mut |stmt| {
+    for stmt in stmts {
         if let StmtKind::Assign { name, .. } = &stmt.kind {
             out.insert(name.clone());
         }
-    });
+        stmt.for_each_body(|body| assigns_all(body, out));
+    }
 }
 
 /// `assign` targets inside function/specifier bodies only — the
 /// statements of a library that run *per candidate* (when called)
 /// rather than once during the prefix.
 fn assigns_in_defs(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for_each_stmt(stmts, &mut |stmt| match &stmt.kind {
-        StmtKind::FuncDef(fd) => assigns_all(&fd.body, out),
-        StmtKind::SpecifierDef(sd) => assigns_all(&sd.body, out),
-        _ => {}
-    });
+    for stmt in stmts {
+        match &stmt.kind {
+            StmtKind::FuncDef(_) | StmtKind::SpecifierDef(_) => {
+                stmt.for_each_body(|body| assigns_all(body, out))
+            }
+            _ => stmt.for_each_body(|body| assigns_in_defs(body, out)),
+        }
+    }
 }
 
 /// Every name the statements bind: assignments, class/function/
 /// specifier definitions, and loop variables, at every depth.
 fn defined_names(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for_each_stmt(stmts, &mut |stmt| match &stmt.kind {
-        StmtKind::Assign { name, .. } => {
-            out.insert(name.clone());
+    for stmt in stmts {
+        match &stmt.kind {
+            StmtKind::Assign { name, .. } | StmtKind::For { var: name, .. } => {
+                out.insert(name.clone());
+            }
+            StmtKind::ClassDef(cd) => {
+                out.insert(cd.name.clone());
+            }
+            StmtKind::FuncDef(fd) => {
+                out.insert(fd.name.clone());
+            }
+            StmtKind::SpecifierDef(sd) => {
+                out.insert(sd.name.clone());
+            }
+            _ => {}
         }
-        StmtKind::ClassDef(cd) => {
-            out.insert(cd.name.clone());
-        }
-        StmtKind::FuncDef(fd) => {
-            out.insert(fd.name.clone());
-        }
-        StmtKind::SpecifierDef(sd) => {
-            out.insert(sd.name.clone());
-        }
-        StmtKind::For { var, .. } => {
-            out.insert(var.clone());
-        }
-        _ => {}
-    });
+        stmt.for_each_body(|body| defined_names(body, out));
+    }
 }
 
 /// Every identifier the statements might look up *in their defining
-/// scope*: `Ident` nodes, constructor class names, `using` specifier
-/// names, and class superclass names, at every depth (including
+/// scope* ([`analysis::stmt_reads`] at every depth, including
 /// default-value and parameter-default expressions). References inside
 /// a function or specifier body to that def's own parameters are *not*
 /// free — parameters are bound in the local scope at call entry, before
@@ -804,242 +785,27 @@ fn defined_names(stmts: &[Stmt], out: &mut HashSet<String>) {
 /// assignment reaches it (`x = x + 1` reads the outer `x`).
 fn referenced_idents(stmts: &[Stmt], out: &mut HashSet<String>) {
     for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => collect_expr_idents(value, out),
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    collect_expr_idents(e, out);
-                }
+        let params = match &stmt.kind {
+            StmtKind::FuncDef(fd) => &fd.params,
+            StmtKind::SpecifierDef(sd) => &sd.params,
+            _ => {
+                analysis::stmt_reads(stmt, out, &mut referenced_idents);
+                continue;
             }
-            StmtKind::ClassDef(cd) => {
-                if let Some(superclass) = &cd.superclass {
-                    out.insert(superclass.clone());
-                }
-                for (_, e) in &cd.properties {
-                    collect_expr_idents(e, out);
-                }
-            }
-            StmtKind::Expr(e) => collect_expr_idents(e, out),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    collect_expr_idents(p, out);
-                }
-                collect_expr_idents(cond, out);
-            }
-            StmtKind::Mutate { targets, scale } => {
-                out.extend(targets.iter().cloned());
-                if let Some(s) = scale {
-                    collect_expr_idents(s, out);
-                }
-            }
-            StmtKind::FuncDef(fd) => {
-                free_refs_of_def(&fd.params, &fd.body, out);
-            }
-            StmtKind::SpecifierDef(sd) => {
-                free_refs_of_def(&sd.params, &sd.body, out);
-            }
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    collect_expr_idents(e, out);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    collect_expr_idents(cond, out);
-                    referenced_idents(body, out);
-                }
-                referenced_idents(else_body, out);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_expr_idents(iter, out);
-                referenced_idents(body, out);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr_idents(cond, out);
-                referenced_idents(body, out);
-            }
+        };
+        // Parameter defaults evaluate in the defining scope (always
+        // free); body references to a parameter, or to `self` (which the
+        // interpreter binds before evaluating any specifier or default),
+        // are not.
+        let mut body_refs = HashSet::new();
+        analysis::stmt_reads(stmt, out, &mut |body, _| {
+            referenced_idents(body, &mut body_refs)
+        });
+        for (name, _) in params {
+            body_refs.remove(name);
         }
-    }
-}
-
-/// Free references of one function/specifier definition: parameter
-/// defaults evaluate in the defining scope (always free), and body
-/// references are free unless they name a parameter (or `self`, which
-/// the interpreter binds before evaluating any specifier or default).
-fn free_refs_of_def(params: &[(String, Option<Expr>)], body: &[Stmt], out: &mut HashSet<String>) {
-    for (_, default) in params {
-        if let Some(d) = default {
-            collect_expr_idents(d, out);
-        }
-    }
-    let mut body_refs = HashSet::new();
-    referenced_idents(body, &mut body_refs);
-    for (name, _) in params {
-        body_refs.remove(name);
-    }
-    body_refs.remove("self");
-    out.extend(body_refs);
-}
-
-fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
-    let mut go = |e: &Expr| collect_expr_idents(e, out);
-    match expr {
-        Expr::Number(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None => {}
-        Expr::Ident(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Vector(a, b)
-        | Expr::Interval(a, b)
-        | Expr::RelativeTo(a, b)
-        | Expr::OffsetBy(a, b)
-        | Expr::FieldAt(a, b)
-        | Expr::CanSee(a, b)
-        | Expr::IsIn(a, b)
-        | Expr::VisibleFrom(a, b) => {
-            go(a);
-            go(b);
-        }
-        Expr::Call { func, args, kwargs } => {
-            collect_expr_idents(func, out);
-            for a in args {
-                collect_expr_idents(a, out);
-            }
-            for (_, v) in kwargs {
-                collect_expr_idents(v, out);
-            }
-        }
-        Expr::Attribute { obj, .. } => collect_expr_idents(obj, out),
-        Expr::Index { obj, key } => {
-            go(obj);
-            go(key);
-        }
-        Expr::List(items) => {
-            for i in items {
-                collect_expr_idents(i, out);
-            }
-        }
-        Expr::Dict(pairs) => {
-            for (k, v) in pairs {
-                collect_expr_idents(k, out);
-                collect_expr_idents(v, out);
-            }
-        }
-        Expr::Neg(e) | Expr::NotOp(e) | Expr::Deg(e) | Expr::Visible(e) => {
-            collect_expr_idents(e, out)
-        }
-        Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
-            go(lhs);
-            go(rhs);
-        }
-        Expr::IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            go(cond);
-            go(then);
-            go(otherwise);
-        }
-        Expr::OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            go(base);
-            go(direction);
-            go(offset);
-        }
-        Expr::DistanceTo { from, to } | Expr::AngleTo { from, to } => {
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-            collect_expr_idents(to, out);
-        }
-        Expr::RelativeHeadingOf { of, from } | Expr::ApparentHeadingOf { of, from } => {
-            collect_expr_idents(of, out);
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-        }
-        Expr::Follow {
-            field,
-            from,
-            distance,
-        } => {
-            collect_expr_idents(field, out);
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-            collect_expr_idents(distance, out);
-        }
-        Expr::BoxPointOf { obj, .. } => collect_expr_idents(obj, out),
-        Expr::Ctor { class, specifiers } => {
-            out.insert(class.clone());
-            for spec in specifiers {
-                collect_spec_idents(spec, out);
-            }
-        }
-    }
-}
-
-fn collect_spec_idents(spec: &Specifier, out: &mut HashSet<String>) {
-    let opt = |e: &Option<Expr>, out: &mut HashSet<String>| {
-        if let Some(e) = e {
-            collect_expr_idents(e, out);
-        }
-    };
-    match spec {
-        Specifier::With(_, e)
-        | Specifier::At(e)
-        | Specifier::OffsetBy(e)
-        | Specifier::InRegion(e)
-        | Specifier::Facing(e)
-        | Specifier::FacingToward(e)
-        | Specifier::FacingAwayFrom(e) => collect_expr_idents(e, out),
-        Specifier::OffsetAlong(a, b) => {
-            collect_expr_idents(a, out);
-            collect_expr_idents(b, out);
-        }
-        Specifier::Beside { target, by, .. } => {
-            collect_expr_idents(target, out);
-            opt(by, out);
-        }
-        Specifier::Beyond {
-            target,
-            offset,
-            from,
-        } => {
-            collect_expr_idents(target, out);
-            collect_expr_idents(offset, out);
-            opt(from, out);
-        }
-        Specifier::Visible(from) => opt(from, out),
-        Specifier::Following {
-            field,
-            from,
-            distance,
-        } => {
-            collect_expr_idents(field, out);
-            opt(from, out);
-            collect_expr_idents(distance, out);
-        }
-        Specifier::ApparentlyFacing { heading, from } => {
-            collect_expr_idents(heading, out);
-            opt(from, out);
-        }
-        Specifier::Using { name, args, kwargs } => {
-            out.insert(name.clone());
-            for a in args {
-                collect_expr_idents(a, out);
-            }
-            for (_, v) in kwargs {
-                collect_expr_idents(v, out);
-            }
-        }
+        body_refs.remove("self");
+        out.extend(body_refs);
     }
 }
 

@@ -52,7 +52,7 @@ use scenic_geom::clip::{dilate_convex, restrict_to_dilation};
 use scenic_geom::field::FieldCell;
 use scenic_geom::region::PolygonRegion;
 use scenic_geom::{Heading, Polygon, Region, Vec2, VectorField};
-use scenic_lang::ast::{ClassDef, Expr, Program, Specifier, Stmt, StmtKind};
+use scenic_lang::ast::{ClassDef, Expr, Program, Specifier, Stmt, StmtChild, StmtKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -646,13 +646,6 @@ pub fn hints_from_programs(programs: &[&Program]) -> PruneHints {
 fn scan_stmts(stmts: &[Stmt], hints: &mut PruneHints, classes: &ClassTable) {
     for stmt in stmts {
         match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => scan_expr(value, hints, classes, false),
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
             StmtKind::ClassDef(cd) => {
                 for (prop, default) in &cd.properties {
                     // `position: Point on region` class defaults are the
@@ -664,46 +657,18 @@ fn scan_stmts(stmts: &[Stmt], hints: &mut PruneHints, classes: &ClassTable) {
                     let allow = prop == "position" && classes.is_physical(&cd.name);
                     scan_expr(default, hints, classes, allow);
                 }
+                continue;
             }
-            StmtKind::Expr(e) => scan_expr(e, hints, classes, false),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    scan_expr(p, hints, classes, false);
-                }
-                scan_expr(cond, hints, classes, false);
-            }
-            StmtKind::Mutate { scale, .. } => {
-                hints.has_mutation = true;
-                if let Some(e) = scale {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
-            StmtKind::FuncDef(fd) => scan_stmts(&fd.body, hints, classes),
-            StmtKind::SpecifierDef(sd) => scan_stmts(&sd.body, hints, classes),
-            StmtKind::Return(value) => {
-                if let Some(e) = value {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    scan_expr(cond, hints, classes, false);
-                    scan_stmts(body, hints, classes);
-                }
-                scan_stmts(else_body, hints, classes);
-            }
-            StmtKind::For { iter, body, .. } => {
-                scan_expr(iter, hints, classes, false);
-                scan_stmts(body, hints, classes);
-            }
-            StmtKind::While { cond, body } => {
-                scan_expr(cond, hints, classes, false);
-                scan_stmts(body, hints, classes);
-            }
+            StmtKind::Mutate { .. } => hints.has_mutation = true,
+            _ => {}
         }
+        let is_def = matches!(stmt.kind, StmtKind::FuncDef(_) | StmtKind::SpecifierDef(_));
+        stmt.for_each_child(|child| match child {
+            // A def's parameter defaults are not scanned.
+            StmtChild::Expr(_) if is_def => {}
+            StmtChild::Expr(e) => scan_expr(e, hints, classes, false),
+            StmtChild::Body(body) => scan_stmts(body, hints, classes),
+        });
     }
 }
 
@@ -716,193 +681,40 @@ fn scan_expr(
     classes: &ClassTable,
     allow_point_on_region: bool,
 ) {
-    use Expr::*;
-    match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
-        Vector(a, b)
-        | Interval(a, b)
-        | RelativeTo(a, b)
-        | OffsetBy(a, b)
-        | FieldAt(a, b)
-        | CanSee(a, b)
-        | IsIn(a, b) => {
-            scan_expr(a, hints, classes, false);
-            scan_expr(b, hints, classes, false);
-        }
-        Call { func, args, kwargs } => {
-            scan_expr(func, hints, classes, false);
-            for a in args {
-                scan_expr(a, hints, classes, false);
+    if let Expr::Ctor { class, specifiers } = expr {
+        hints.object_count += 1;
+        for spec in specifiers {
+            if matches!(spec, Specifier::InRegion(_))
+                && !allow_point_on_region
+                && !classes.is_physical(class)
+            {
+                hints.helper_on_region = true;
             }
-            for (_, v) in kwargs {
-                scan_expr(v, hints, classes, false);
-            }
-        }
-        Attribute { obj, .. } => scan_expr(obj, hints, classes, false),
-        Index { obj, key } => {
-            scan_expr(obj, hints, classes, false);
-            scan_expr(key, hints, classes, false);
-        }
-        List(items) => {
-            for e in items {
-                scan_expr(e, hints, classes, false);
-            }
-        }
-        Dict(items) => {
-            for (k, v) in items {
-                scan_expr(k, hints, classes, false);
-                scan_expr(v, hints, classes, false);
-            }
-        }
-        Neg(e) | NotOp(e) | Deg(e) | Visible(e) => scan_expr(e, hints, classes, false),
-        Binary { lhs, rhs, .. } | Compare { lhs, rhs, .. } => {
-            scan_expr(lhs, hints, classes, false);
-            scan_expr(rhs, hints, classes, false);
-        }
-        IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            scan_expr(cond, hints, classes, false);
-            scan_expr(then, hints, classes, false);
-            scan_expr(otherwise, hints, classes, false);
-        }
-        OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            scan_expr(base, hints, classes, false);
-            scan_expr(direction, hints, classes, false);
-            scan_expr(offset, hints, classes, false);
-        }
-        DistanceTo { from, to } | AngleTo { from, to } => {
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-            scan_expr(to, hints, classes, false);
-        }
-        RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
-            scan_expr(of, hints, classes, false);
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-        }
-        VisibleFrom(a, b) => {
-            scan_expr(a, hints, classes, false);
-            scan_expr(b, hints, classes, false);
-        }
-        Follow {
-            field,
-            from,
-            distance,
-        } => {
-            scan_expr(field, hints, classes, false);
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-            scan_expr(distance, hints, classes, false);
-        }
-        BoxPointOf { obj, .. } => scan_expr(obj, hints, classes, false),
-        Ctor { class, specifiers } => {
-            hints.object_count += 1;
-            for spec in specifiers {
-                if matches!(spec, Specifier::InRegion(_))
-                    && !allow_point_on_region
-                    && !classes.is_physical(class)
-                {
-                    hints.helper_on_region = true;
-                }
-                match spec {
-                    Specifier::With(prop, value) if prop == "roadDeviation" => {
-                        if let Some(b) = interval_bound(value) {
-                            hints.note_wiggle(b);
-                        }
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::With(prop, value) if prop == "visibleDistance" => {
-                        if let Some(d) = const_scalar(value) {
-                            hints.visible_distance =
-                                Some(hints.visible_distance.map_or(d, |m: f64| m.min(d)));
-                        }
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::With(prop, value) if prop == "width" || prop == "height" => {
-                        hints.note_dim_override(value);
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::Facing(expr) => {
-                        if let Expr::RelativeTo(lhs, _) = expr {
-                            if let Some(b) = interval_bound(lhs) {
-                                hints.note_wiggle(b);
-                            }
-                        }
-                        scan_expr(expr, hints, classes, false);
-                    }
-                    Specifier::With(_, value)
-                    | Specifier::At(value)
-                    | Specifier::OffsetBy(value)
-                    | Specifier::InRegion(value)
-                    | Specifier::FacingToward(value)
-                    | Specifier::FacingAwayFrom(value) => {
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::OffsetAlong(a, b) => {
-                        scan_expr(a, hints, classes, false);
-                        scan_expr(b, hints, classes, false);
-                    }
-                    Specifier::Beside { target, by, .. } => {
-                        scan_expr(target, hints, classes, false);
-                        if let Some(e) = by {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Beyond {
-                        target,
-                        offset,
-                        from,
-                    } => {
-                        scan_expr(target, hints, classes, false);
-                        scan_expr(offset, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Visible(from) => {
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Following {
-                        field,
-                        from,
-                        distance,
-                    } => {
-                        scan_expr(field, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                        scan_expr(distance, hints, classes, false);
-                    }
-                    Specifier::ApparentlyFacing { heading, from } => {
-                        scan_expr(heading, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Using { args, kwargs, .. } => {
-                        for a in args {
-                            scan_expr(a, hints, classes, false);
-                        }
-                        for (_, v) in kwargs {
-                            scan_expr(v, hints, classes, false);
-                        }
+            match spec {
+                Specifier::With(prop, value) if prop == "roadDeviation" => {
+                    if let Some(b) = interval_bound(value) {
+                        hints.note_wiggle(b);
                     }
                 }
+                Specifier::With(prop, value) if prop == "visibleDistance" => {
+                    if let Some(d) = const_scalar(value) {
+                        hints.visible_distance =
+                            Some(hints.visible_distance.map_or(d, |m: f64| m.min(d)));
+                    }
+                }
+                Specifier::With(prop, value) if prop == "width" || prop == "height" => {
+                    hints.note_dim_override(value);
+                }
+                Specifier::Facing(Expr::RelativeTo(lhs, _)) => {
+                    if let Some(b) = interval_bound(lhs) {
+                        hints.note_wiggle(b);
+                    }
+                }
+                _ => {}
             }
         }
     }
+    expr.for_each_child(|e| scan_expr(e, hints, classes, false));
 }
 
 /// A constant lower bound of a dimension expression: the value itself
@@ -1005,26 +817,10 @@ impl ClassTable {
 
 fn collect_classes(stmts: &[Stmt], out: &mut HashMap<String, (Option<String>, Dim, Dim)>) {
     for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::ClassDef(cd) => {
-                out.insert(cd.name.clone(), class_entry(cd));
-            }
-            StmtKind::FuncDef(fd) => collect_classes(&fd.body, out),
-            StmtKind::SpecifierDef(sd) => collect_classes(&sd.body, out),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    collect_classes(body, out);
-                }
-                collect_classes(else_body, out);
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                collect_classes(body, out);
-            }
-            _ => {}
+        if let StmtKind::ClassDef(cd) = &stmt.kind {
+            out.insert(cd.name.clone(), class_entry(cd));
         }
+        stmt.for_each_body(|body| collect_classes(body, out));
     }
 }
 

@@ -6,6 +6,7 @@
 //! serialize to JSON — this is the interface layer format consumed by the
 //! simulator crates.
 
+use crate::cache::{fnv1a, FNV_OFFSET};
 use crate::object::ObjRef;
 use crate::value::Value;
 use scenic_geom::{Heading, OrientedBox, Vec2};
@@ -192,21 +193,13 @@ impl Scene {
     }
 }
 
-fn fnv_fold(mut hash: u64, scene: &Scene) -> u64 {
-    for byte in scene.to_json().bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// FNV-1a (64-bit) over the scene's canonical JSON — the digest family
 /// `tests/determinism.rs` pins and the store ledger records. Stable
 /// across platforms and worker counts; any change here is a breaking
 /// change to the determinism contract.
 #[must_use]
 pub fn scene_digest(scene: &Scene) -> u64 {
-    fnv_fold(0xcbf2_9ce4_8422_2325, scene)
+    fnv1a(FNV_OFFSET, scene.to_json().as_bytes())
 }
 
 /// FNV-1a over the concatenated canonical JSON of a whole batch, in
@@ -214,7 +207,9 @@ pub fn scene_digest(scene: &Scene) -> u64 {
 /// is invariant under `--jobs` (batch order is pinned by scene index).
 #[must_use]
 pub fn batch_digest(scenes: &[Scene]) -> u64 {
-    scenes.iter().fold(0xcbf2_9ce4_8422_2325, fnv_fold)
+    scenes.iter().fold(FNV_OFFSET, |hash, scene| {
+        fnv1a(hash, scene.to_json().as_bytes())
+    })
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@
 //! determinism contract `tests/determinism.rs` asserts in CI into an
 //! artifact users can audit across machines and versions.
 
-use crate::cache::source_hash;
+use crate::cache::{fnv1a, source_hash, FNV_OFFSET};
 use crate::error::Pruner;
 use crate::interp::{assemble_with_world, Scenario};
 use crate::json_escape;
@@ -76,17 +76,6 @@ const ENTRY_EXT: &str = "scn";
 
 /// Ledger schema tag.
 const LEDGER_SCHEMA: &str = "scenic-store-ledger/v1";
-
-/// FNV-1a (64-bit) over raw bytes — same family as
-/// [`crate::cache::source_hash`], used for the entry checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// A typed store failure. Entry-level corruption is *not* an error —
 /// corrupt entries are silently rebuilt — so this only covers I/O on
@@ -458,7 +447,7 @@ fn encode_entry(world_name: &str, hash: u64, scenario: &Scenario, plan: &PrunePl
     w.u64(payload.len() as u64);
     bytes.extend_from_slice(&w.into_bytes());
     bytes.extend_from_slice(&payload);
-    let checksum = fnv1a(&bytes);
+    let checksum = fnv1a(FNV_OFFSET, &bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
 }
@@ -476,7 +465,7 @@ fn decode_entry(
     }
     let (body, checksum_bytes) = bytes.split_at(bytes.len() - 8);
     let checksum = u64::from_le_bytes(checksum_bytes.try_into().unwrap());
-    if fnv1a(body) != checksum {
+    if fnv1a(FNV_OFFSET, body) != checksum {
         return Err(fail("checksum mismatch"));
     }
     if &body[..MAGIC.len()] != MAGIC {

@@ -39,6 +39,75 @@ impl Stmt {
     pub fn line(&self) -> u32 {
         self.span.start.line
     }
+
+    /// Calls `f` on each direct child of the statement, in source order:
+    /// the expressions it evaluates itself (a class's property defaults,
+    /// a `def`'s parameter defaults, conditions, values) and its nested
+    /// bodies (`def`/`specifier` bodies, each `if`/`elif` body after its
+    /// condition, then the `else` body, and `for`/`while` bodies).
+    /// Names that are not expressions (assignment targets, superclass
+    /// names, `mutate` targets) are not children.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(StmtChild<'a>)) {
+        use StmtChild::{Body, Expr as E};
+        match &self.kind {
+            StmtKind::Import(_) | StmtKind::Pass => {}
+            StmtKind::Assign { value, .. } => f(E(value)),
+            StmtKind::Param(params) => params.iter().for_each(|(_, e)| f(E(e))),
+            StmtKind::ClassDef(cd) => cd.properties.iter().for_each(|(_, e)| f(E(e))),
+            StmtKind::Expr(e) => f(E(e)),
+            StmtKind::Require { prob, cond } => {
+                prob.iter().for_each(|e| f(E(e)));
+                f(E(cond));
+            }
+            StmtKind::Mutate { scale, .. } => scale.iter().for_each(|e| f(E(e))),
+            StmtKind::FuncDef(fd) => {
+                fd.params.iter().flat_map(|(_, d)| d).for_each(|e| f(E(e)));
+                f(Body(&fd.body));
+            }
+            StmtKind::SpecifierDef(sd) => {
+                sd.params.iter().flat_map(|(_, d)| d).for_each(|e| f(E(e)));
+                f(Body(&sd.body));
+            }
+            StmtKind::Return(value) => value.iter().for_each(|e| f(E(e))),
+            StmtKind::If {
+                branches,
+                else_body,
+            } => {
+                for (cond, body) in branches {
+                    f(E(cond));
+                    f(Body(body));
+                }
+                f(Body(else_body));
+            }
+            StmtKind::For { iter, body, .. } => {
+                f(E(iter));
+                f(Body(body));
+            }
+            StmtKind::While { cond, body } => {
+                f(E(cond));
+                f(Body(body));
+            }
+        }
+    }
+
+    /// Calls `f` on each nested body of the statement, in source order
+    /// (the [`StmtChild::Body`] children of [`Stmt::for_each_child`]).
+    pub fn for_each_body<'a>(&'a self, mut f: impl FnMut(&'a [Stmt])) {
+        self.for_each_child(|child| {
+            if let StmtChild::Body(body) = child {
+                f(body);
+            }
+        });
+    }
+}
+
+/// A direct child of a statement (see [`Stmt::for_each_child`]).
+#[derive(Debug, Clone, Copy)]
+pub enum StmtChild<'a> {
+    /// An expression the statement evaluates itself.
+    Expr(&'a Expr),
+    /// A nested block of statements.
+    Body(&'a [Stmt]),
 }
 
 /// Statement kinds (Table 5, plus the Python-inherited control flow the
@@ -400,6 +469,87 @@ pub enum Expr {
     },
 }
 
+impl Expr {
+    /// Calls `f` on each direct child expression, in source order —
+    /// including the expressions inside a constructor's specifiers (see
+    /// [`Specifier::for_each_expr`]). Names that are not expressions
+    /// (attribute names, keyword names, a constructor's class, a `using`
+    /// specifier's name) are not children.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        use Expr::*;
+        match self {
+            Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
+            Vector(a, b)
+            | Interval(a, b)
+            | RelativeTo(a, b)
+            | OffsetBy(a, b)
+            | FieldAt(a, b)
+            | CanSee(a, b)
+            | IsIn(a, b)
+            | VisibleFrom(a, b)
+            | Index { obj: a, key: b }
+            | Binary { lhs: a, rhs: b, .. }
+            | Compare { lhs: a, rhs: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Call { func, args, kwargs } => {
+                f(func);
+                args.iter().for_each(&mut f);
+                kwargs.iter().for_each(|(_, e)| f(e));
+            }
+            Attribute { obj: e, .. }
+            | Neg(e)
+            | NotOp(e)
+            | Deg(e)
+            | Visible(e)
+            | BoxPointOf { obj: e, .. } => f(e),
+            List(items) => items.iter().for_each(f),
+            Dict(pairs) => pairs.iter().for_each(|(k, v)| {
+                f(k);
+                f(v);
+            }),
+            // `then if cond else otherwise`.
+            IfElse {
+                cond,
+                then,
+                otherwise,
+            } => {
+                f(then);
+                f(cond);
+                f(otherwise);
+            }
+            OffsetAlong {
+                base,
+                direction,
+                offset,
+            } => {
+                f(base);
+                f(direction);
+                f(offset);
+            }
+            DistanceTo { from, to } | AngleTo { from, to } => {
+                from.iter().for_each(|e| f(e));
+                f(to);
+            }
+            RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
+                f(of);
+                from.iter().for_each(|e| f(e));
+            }
+            Follow {
+                field,
+                from,
+                distance,
+            } => {
+                f(field);
+                from.iter().for_each(|e| f(e));
+                f(distance);
+            }
+            Ctor { specifiers, .. } => specifiers.iter().for_each(|s| s.for_each_expr(&mut f)),
+        }
+    }
+}
+
 /// Specifiers for object construction (Tables 3 & 4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Specifier {
@@ -487,6 +637,57 @@ impl Specifier {
             Specifier::FacingAwayFrom(_) => "facing away from".into(),
             Specifier::ApparentlyFacing { .. } => "apparently facing".into(),
             Specifier::Using { name, .. } => format!("using {name}"),
+        }
+    }
+
+    /// Calls `f` on each expression inside the specifier, in source
+    /// order. The property of `with` and the name of `using` are not
+    /// expressions.
+    pub fn for_each_expr<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        use Specifier::*;
+        match self {
+            With(_, e)
+            | At(e)
+            | OffsetBy(e)
+            | InRegion(e)
+            | Facing(e)
+            | FacingToward(e)
+            | FacingAwayFrom(e) => f(e),
+            OffsetAlong(a, b) => {
+                f(a);
+                f(b);
+            }
+            Beside { target, by, .. } => {
+                f(target);
+                by.iter().for_each(f);
+            }
+            Beyond {
+                target,
+                offset,
+                from,
+            } => {
+                f(target);
+                f(offset);
+                from.iter().for_each(f);
+            }
+            Visible(from) => from.iter().for_each(f),
+            Following {
+                field,
+                from,
+                distance,
+            } => {
+                f(field);
+                from.iter().for_each(&mut f);
+                f(distance);
+            }
+            ApparentlyFacing { heading, from } => {
+                f(heading);
+                from.iter().for_each(f);
+            }
+            Using { args, kwargs, .. } => {
+                args.iter().for_each(&mut f);
+                kwargs.iter().for_each(|(_, e)| f(e));
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ pub mod token;
 
 pub use ast::{
     BinOp, BoxPoint, ClassDef, CmpOp, Expr, FuncDef, Program, Side, Specifier, SpecifierDef, Stmt,
-    StmtKind,
+    StmtChild, StmtKind,
 };
 pub use codec::{decode_program, encode_program, ByteReader, ByteWriter, CodecError};
 pub use error::{ParseError, ParseResult};

@@ -51,6 +51,7 @@ fn codes_in(text: &str) -> Vec<String> {
 
 const UNSAT: &str = "tests/fixtures/unsat_requirement.scenic";
 const UNUSED: &str = "tests/fixtures/unused_shadow.scenic";
+const USING: &str = "tests/fixtures/using_specifier.scenic";
 
 #[test]
 fn unsat_requirement_fixture_is_e101_with_exact_span() {
@@ -117,6 +118,13 @@ fn deny_warnings_turns_warnings_into_exit_1() {
     // Errors still dominate: the unsat fixture stays exit 2.
     let out = run(&["lint", UNSAT, "--deny", "warnings"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+}
+
+#[test]
+fn specifier_used_only_through_using_is_not_w001() {
+    let out = run(&["lint", USING, "--world", "bare", "--deny", "warnings"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(!codes_in(&stdout(&out)).contains(&"W001".to_string()));
 }
 
 #[test]
